@@ -47,7 +47,6 @@ def _add_audit_flags(p: argparse.ArgumentParser):
     )
     p.add_argument("--max-n", type=int, default=2000, help="subsample cap on rows")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=None, help="worker threads for scoring")
     p.add_argument("--standardize", action="store_true", help="z-score numeric columns")
 
 
@@ -148,7 +147,6 @@ def _run_audit_pipeline(args):
         threshold=_parse_threshold(args.threshold),
         max_n=args.max_n,
         seed=args.seed,
-        threads=args.threads,
         standardize=args.standardize,
     )
     echo = dict(report.config)
@@ -156,7 +154,6 @@ def _run_audit_pipeline(args):
         {
             "data": str(args.data),
             "schema": str(args.schema),
-            "threads": args.threads,
             "command": args.command,
         }
     )

@@ -9,6 +9,9 @@ The regularized operator R has eigenvalues lam/(lam + n*eps) in [0, 1),
 which makes nocco insensitive to the scale of the observations; eps
 defaults to 1e-6. R is obtained from a Cholesky solve of the SPD matrix
 G + n*eps*I, never from a general-purpose inverse.
+
+A two-valued label has a rank-one R_y = a uu^T, so nocco(x, y) is
+a * u^T R_x u: one Cholesky factor and one triangular solve per x.
 """
 
 from dataclasses import dataclass
@@ -69,6 +72,19 @@ def hsic(x, y, spec: KernelSpec = KernelSpec()) -> float:
     return float(np.vdot(gx, gy)) / (n - 1) ** 2
 
 
+def _ridge_factor(A: np.ndarray, epsilon: float):
+    """Cholesky factor of A + n*eps*I, built in place when A is Fortran-ordered."""
+    n = A.shape[0]
+    A.flat[:: n + 1] += n * epsilon
+    try:
+        return linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise NumericsError(
+            "centered Gram plus ridge is not positive definite; "
+            "the kernel matrix is broken (non-PSD input?)"
+        ) from exc
+
+
 def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
     """R = G (G + n*eps*I)^{-1} for G = H K H.
 
@@ -79,15 +95,7 @@ def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     G = center(K)
-    n = G.shape[0]
-    shifted = G + (n * epsilon) * np.eye(n)
-    try:
-        factor = linalg.cho_factor(shifted, lower=True, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise NumericsError(
-            "centered Gram plus ridge is not positive definite; "
-            "the kernel matrix is broken (non-PSD input?)"
-        ) from exc
+    factor = _ridge_factor(np.asfortranarray(G), epsilon)
     R = linalg.cho_solve(factor, G, check_finite=False)
     return (R + R.T) / 2.0
 
@@ -107,14 +115,33 @@ def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:
     return float(np.vdot(rx, ry))
 
 
-def nocco_against_operator(x, ry: np.ndarray, config: DependenceConfig = DependenceConfig()) -> float:
-    """tr(R_x R_y) with R_y precomputed.
+def label_direction(y, config: DependenceConfig = DependenceConfig()) -> tuple[np.ndarray, float]:
+    """u and a with R_y = a uu^T for a two-valued label vector y.
 
-    Scoring many columns against one label vector reuses the label's
-    operator; this is the per-column half of that loop.
+    Any kernel on such a y has a rank-one centered Gram H K_y H = c uu^T,
+    u = Hy/||Hy||, c = u^T K_y u, so a = c/(c + n*eps). A single-class y
+    has Hy = 0 and R_y = 0, and gets u = 0 and a = 0.
     """
-    x = _canonical_indicator(np.asarray(x, dtype=np.float64).ravel())
-    rx = regularized_operator(gram(x, config.kernel), config.epsilon)
-    if rx.shape != ry.shape:
-        raise ValueError(f"operator shape mismatch: {rx.shape} vs {ry.shape}")
-    return float(np.vdot(rx, ry))
+    y = np.asarray(y, dtype=np.float64).ravel()
+    v = y - y.mean()
+    vv = float(v @ v)
+    if vv == 0.0:
+        return v, 0.0
+    c = float(v @ (gram(y, config.kernel) @ v)) / vv
+    return v / np.sqrt(vv), c / (c + y.size * config.epsilon)
+
+
+def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig()) -> float:
+    """u^T R_x u from one Cholesky factor L L^T = G_x + n*eps*I.
+
+    R_x = I - n*eps (G_x + n*eps*I)^{-1}, so the form is
+    u^T u - n*eps ||L^{-1} u||^2: one triangular solve with u. With u, a
+    from `label_direction`, nocco(x, y) = a * quadratic_form(x, u).
+    0/1 indicators are complement-canonicalized as in `nocco`.
+    """
+    x, u = _check_pair(x, u)
+    G = center(gram(_canonical_indicator(x), config.kernel))
+    # G is symmetric, so its transpose is the Fortran-ordered view the factor overwrites
+    L, _ = _ridge_factor(G.T, config.epsilon)
+    p = linalg.solve_triangular(L, u, lower=True, check_finite=False)
+    return float(u @ u) - u.size * config.epsilon * float(p @ p)

@@ -1,7 +1,9 @@
 """Sensitive-feature detection from per-feature dependence scores.
 
-Every feature gets a dependence score against the label vector:
-numeric and binary features are scored on their single encoded column;
+Every feature gets a dependence score against the label vector, the
+NOCCO quadratic form of its column's operator along the label's
+rank-one direction (see `dependence.label_direction`): numeric and
+binary features are scored on their single encoded column;
 a categorical feature with q >= 3 categories is scored per indicator
 column and takes the maximum. Binary features are scored once, because
 an indicator and its complement have identical centered Grams and hence
@@ -13,15 +15,13 @@ each with its top-scoring group.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import BINARY, CATEGORICAL, Dataset, EncodedDataset, encode, standardize_numeric
-from .dependence import DependenceConfig, nocco_against_operator, regularized_operator
+from .dependence import DependenceConfig, label_direction, quadratic_form
 from .errors import DataError, NumericsError
-from .kernels import gram
 
 DEFAULT_SUBSAMPLE = 2000
 DEFAULT_SEED = 42
@@ -123,12 +123,6 @@ def is_candidate(kind: str, flag: bool | None) -> bool:
     return kind in (BINARY, CATEGORICAL)
 
 
-def label_operator(y, config: DependenceConfig = DependenceConfig()) -> np.ndarray:
-    """Regularized operator of the label vector, shared across columns."""
-    y = _check_labels(y)
-    return regularized_operator(gram(y, config.kernel), config.epsilon)
-
-
 def _check_labels(y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64).ravel()
     values = set(np.unique(y).tolist())
@@ -141,52 +135,37 @@ def score_features(
     encoded: EncodedDataset,
     y,
     config: DependenceConfig = DependenceConfig(),
-    threads: int | None = None,
 ) -> tuple[FeatureScore, ...]:
     """Dependence scores for every feature and subfeature.
 
-    The label operator is computed once and shared read-only; per-column
-    scores run on a thread pool (the Cholesky solves release the GIL).
+    The label's operator is rank one, R_y = a uu^T, so each column's
+    score is a * u^T R_x u: one Cholesky factor of the column's centered
+    Gram and one solve against u, with u and a computed once from the
+    labels. Single-class labels score every column 0.
     """
     y = _check_labels(y)
     if y.size != encoded.n:
         raise ValueError(f"labels ({y.size}) and matrix ({encoded.n}) disagree")
-    ry = label_operator(y, config)
+    u, weight = label_direction(y, config)
 
-    needed: list[int] = []
-    for j, col in enumerate(encoded.schema.columns):
-        block = encoded.parent_columns[j]
-        if col.kind == CATEGORICAL and len(block) >= 3:
-            needed.extend(block)
-        else:
-            needed.append(block[0])
-
-    def score_column(c: int) -> float:
+    def score(c: int) -> float:
         try:
-            # traces of PSD products dip below zero only by rounding
-            return max(
-                nocco_against_operator(encoded.matrix[:, c], ry, config), 0.0
-            )
+            # quadratic forms of a PSD operator dip below zero only by rounding
+            return max(weight * quadratic_form(encoded.matrix[:, c], u, config), 0.0)
         except (DataError, NumericsError) as exc:
-            name = encoded.subfeatures[c].name
-            raise type(exc)(f"column {name!r}: {exc}") from exc
-
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        by_column = dict(zip(needed, pool.map(score_column, needed)))
+            raise type(exc)(f"column {encoded.subfeatures[c].name!r}: {exc}") from exc
 
     out: list[FeatureScore] = []
     for j, col in enumerate(encoded.schema.columns):
         block = encoded.parent_columns[j]
         names = tuple(encoded.subfeatures[c].name for c in block)
         if col.kind == CATEGORICAL and len(block) >= 3:
-            scores = tuple(by_column[c] for c in block)
+            scores = tuple(score(c) for c in block)
             argmax = int(np.argmax(scores))  # ties resolve to the lowest index
         else:
             # one evaluation covers the whole block: a two-category
             # feature's indicators are complements with equal scores
-            scores = tuple(by_column[block[0]] for _ in block)
+            scores = (score(block[0]),) * len(block)
             argmax = 0
         out.append(
             FeatureScore(
@@ -274,7 +253,6 @@ def audit_dataset(
     threshold: float | str = "median",
     max_n: int = DEFAULT_SUBSAMPLE,
     seed: int = DEFAULT_SEED,
-    threads: int | None = None,
     standardize: bool = False,
 ) -> tuple[EncodedDataset, np.ndarray, DependenceReport]:
     """Full detection pipeline: subsample, encode, score, threshold.
@@ -286,7 +264,7 @@ def audit_dataset(
     encoded = encode(working)
     if standardize:
         encoded = standardize_numeric(encoded)
-    scores = score_features(encoded, working.y, config, threads=threads)
+    scores = score_features(encoded, working.y, config)
     echo = {
         "kernel": config.kernel.kind,
         "epsilon": config.epsilon,

@@ -13,7 +13,7 @@ kernels and reports how much the rankings and detected sets move.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -90,15 +90,8 @@ def cross_validate(
     for fold, test_idx in enumerate(test_sets):
         mask = np.ones(y.size, dtype=bool)
         mask[test_idx] = False
-        model = RandomForest(
-            ForestConfig(
-                n_trees=forest.n_trees,
-                max_depth=forest.max_depth,
-                max_features=forest.max_features,
-                bootstrap=forest.bootstrap,
-                seed=_fold_seed(forest.seed, fold),
-            )
-        ).fit(X[mask], y[mask])
+        model = RandomForest(replace(forest, seed=_fold_seed(forest.seed, fold)))
+        model.fit(X[mask], y[mask])
         pred = model.predict(X[test_idx])
         predictions[test_idx] = pred
         accuracy.append(float(np.mean(pred == y[test_idx])))
@@ -345,13 +338,12 @@ def kernel_consistency(
     y,
     epsilon: float = 1e-6,
     threshold: float | str = "median",
-    threads: int | None = None,
 ) -> KernelConsistency:
     """Score under both kernels and compare rankings and detected sets."""
     reports = {}
     for kind in (RBF, LINEAR):
         cfg = DependenceConfig(KernelSpec(kind), epsilon)
-        scores = score_features(encoded, y, cfg, threads=threads)
+        scores = score_features(encoded, y, cfg)
         reports[kind] = detect(scores, threshold=threshold, config={"kernel": kind})
     r_rbf, r_lin = reports[RBF], reports[LINEAR]
     d_rbf = [fs.score for fs in r_rbf.scores]

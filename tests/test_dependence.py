@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairdep import DependenceConfig, KernelSpec, NumericsError, gram, hsic, nocco
-from fairdep.dependence import nocco_against_operator, regularized_operator
+from fairdep.dependence import label_direction, quadratic_form, regularized_operator
 from fairdep.kernels import LINEAR, RBF
 
 from oracles import naive_hsic, naive_nocco
@@ -187,11 +187,59 @@ def test_nocco_nonnegative(x, y, kind):
     assert nocco(x, y, DependenceConfig(KernelSpec(kind), EPS)) >= -1e-12
 
 
-def test_nocco_against_operator_matches_full_path():
-    rng = np.random.default_rng(11)
-    x, y = rng.standard_normal(30), rng.standard_normal(30)
-    ry = regularized_operator(gram(y, GAUSS.kernel), GAUSS.epsilon)
-    assert nocco_against_operator(x, ry, GAUSS) == pytest.approx(nocco(x, y, GAUSS), rel=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["indicator", "count", "normal"]),
+    st.sampled_from([RBF, LINEAR]),
+)
+def test_label_quadratic_form_matches_dense_trace(n, seed, shape, kind):
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    x = {
+        "indicator": lambda: (rng.random(n) < 0.5).astype(float),
+        "count": lambda: rng.poisson(3.0, n).astype(float),
+        "normal": lambda: rng.standard_normal(n),
+    }[shape]()
+    cfg = DependenceConfig(KernelSpec(kind), EPS)
+    u, a = label_direction(y, cfg)
+    dense = np.vdot(
+        regularized_operator(gram(x, cfg.kernel), EPS), regularized_operator(gram(y, cfg.kernel), EPS)
+    )
+    # both paths miss a 40-digit reference by up to about 1e-10 on these
+    # inputs (dense: 7.2e-11 over 240 draws), so the absolute floor sits
+    # above that; relative agreement holds to 1e-8
+    assert a * quadratic_form(x, u, cfg) == pytest.approx(dense, rel=1e-8, abs=5e-10)
+
+
+def _closed_form_inputs(n):
+    rng = np.random.default_rng(12345)
+    z = rng.standard_normal(n)
+    y = np.where(z + rng.standard_normal(n) > 0.3, 1.0, -1.0)
+    return y, {
+        "normal": z + 0.5 * rng.standard_normal(n),
+        "count": rng.poisson(np.exp(0.5 * z + 1.0)).astype(float),
+        "age": np.clip(np.round(40 + 12 * z + 5 * rng.standard_normal(n)), 17, 90),
+        "indicator": (z + rng.standard_normal(n) > 0.5).astype(float),
+        "independent": rng.standard_normal(n),
+    }
+
+
+def test_label_quadratic_form_linear_closed_form_at_n2000():
+    # linear kernel: R_z = s_z/(s_z + n eps) * P_z with s_z = ||Hz||^2 and
+    # P_z the projector on Hz, so nocco = s_x/(s_x+n eps) s_y/(s_y+n eps) corr^2
+    n = 2000
+    y, columns = _closed_form_inputs(n)
+    u, a = label_direction(y, LIN)
+    hy = y - y.mean()
+    for name, x in columns.items():
+        hx = x - x.mean()
+        sx, sy = hx @ hx, hy @ hy
+        want = sx / (sx + n * EPS) * sy / (sy + n * EPS) * (hx @ hy) ** 2 / (sx * sy)
+        # the dense tr(R_x R_y) misses this closed form by up to 3.7e-10
+        # relative on these columns; the bound allows about ten times that
+        assert a * quadratic_form(x, u, LIN) == pytest.approx(want, rel=5e-9, abs=0), name
 
 
 def test_hsic_and_nocco_agree_on_degenerate_flags():

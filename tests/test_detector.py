@@ -99,18 +99,19 @@ def test_binary_feature_scored_once_and_coding_invariant():
     n = 60
     y = np.where(rng.random(n) < 0.5, 1, -1)
     raw = np.where(rng.random(n) < 0.4, "m", "f").astype(object)
-    for order in (("m", "f"), ("f", "m")):
-        schema = Schema(
-            columns=(Column("sex", "binary", categories=order),),
-            label="y",
-            positive="1",
-        )
-        ds = dataset_from_arrays(schema, [raw], y)
-        (score,) = score_features(encode(ds), y)
-        if order == ("m", "f"):
-            first = score.score
-        else:
-            assert score.score == pytest.approx(first, rel=1e-10)
+    for kind in (RBF, LINEAR):
+        scores = []
+        for order in (("m", "f"), ("f", "m")):
+            schema = Schema(
+                columns=(Column("sex", "binary", categories=order),),
+                label="y",
+                positive="1",
+            )
+            ds = dataset_from_arrays(schema, [raw], y)
+            (score,) = score_features(encode(ds), y, DependenceConfig(KernelSpec(kind)))
+            scores.append(score.score)
+        # both codings reach the same canonical indicator, so the match is exact
+        assert scores[0] == scores[1] > 0, kind
 
 
 def test_score_features_annotates_failing_column():
@@ -136,12 +137,30 @@ def test_scores_are_nonnegative():
     assert all(min(s.subfeature_scores) >= 0 for s in scores)
 
 
-def test_threads_do_not_change_scores():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [RBF, LINEAR])
+def test_single_class_labels_score_zero(kind):
     dataset, _ = small_planted_dataset(seed=4)
+    scores = score_features(encode(dataset), np.ones(dataset.n), DependenceConfig(KernelSpec(kind)))
+    assert all(d == 0.0 for s in scores for d in s.subfeature_scores)
+
+
+@pytest.mark.parametrize("kind", [RBF, LINEAR])
+def test_scoring_memory_stays_within_four_grams(kind):
+    # the per-column path holds at most a few n x n arrays at once
+    import tracemalloc
+
+    n = 600
+    dataset, _ = small_planted_dataset(seed=6, n=n)
     encoded = encode(dataset)
-    single = score_features(encoded, dataset.y, threads=1)
-    multi = score_features(encoded, dataset.y, threads=4)
-    assert [s.score for s in single] == [s.score for s in multi]
+    config = DependenceConfig(KernelSpec(kind))
+    tracemalloc.start()
+    try:
+        score_features(encoded, dataset.y, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n * n
 
 
 # ------------------------------------------------------------ detection
