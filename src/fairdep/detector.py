@@ -139,9 +139,10 @@ def score_features(
     """Dependence scores for every feature and subfeature.
 
     The label's operator is rank one, R_y = a uu^T, so each column's
-    score is a * u^T R_x u: one Cholesky factor of the column's centered
-    Gram and one solve against u, with u and a computed once from the
-    labels. Single-class labels score every column 0.
+    score is a * u^T R_x u, computed on the column's distinct values
+    (`dependence.quadratic_form`), with u and a computed once from the
+    labels. No n x n array is formed. Single-class labels score every
+    column 0.
     """
     y = _check_labels(y)
     if y.size != encoded.n:

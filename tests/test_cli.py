@@ -237,3 +237,40 @@ def test_both_kernels_produce_comparable_reports(tmp_path, synth_files):
     assert reports["rbf"]["config"]["kernel"] == "rbf"
     assert reports["linear"]["config"]["kernel"] == "linear"
     assert set(reports["rbf"]["sensitive_features"]) == set(reports["linear"]["sensitive_features"])
+
+
+def test_linear_audit_of_large_magnitude_columns_succeeds(tmp_path):
+    # lognormal(11, 1) and six-digit integer columns at n=1000 used to make
+    # the dense linear Gram lose its ridge to rounding and exit 4
+    from fairdep import Column, Schema
+
+    rng = np.random.default_rng(3)
+    n = 1000
+    limit = rng.lognormal(11.0, 1.0, n)
+    bill = rng.integers(10_000, 1_000_000, n)
+    flag = rng.random(n) < 0.4
+    label = np.log(limit) - 11.0 + rng.standard_normal(n) > 0
+    data = tmp_path / "money.csv"
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["limit", "bill", "flag", "y"])
+        for row in zip(limit, bill, flag, label):
+            writer.writerow([repr(float(row[0])), int(row[1]), "a" if row[2] else "b", "1" if row[3] else "0"])
+    schema = Schema(
+        columns=(
+            Column("limit", "numeric"),
+            Column("bill", "numeric"),
+            Column("flag", "binary", categories=("a", "b")),
+        ),
+        label="y",
+        positive="1",
+    )
+    schema_path = tmp_path / "money.schema.json"
+    schema_path.write_text(json.dumps(schema.to_dict()), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        ["audit", "--data", str(data), "--schema", str(schema_path), "--kernel", "linear", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    doc = json.loads((out / "report.json").read_text())
+    assert all(0.0 <= fs["d"] <= 1.0 for fs in doc["scores"])

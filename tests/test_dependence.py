@@ -191,16 +191,24 @@ def test_nocco_nonnegative(x, y, kind):
 @given(
     st.integers(3, 40),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["indicator", "count", "normal"]),
-    st.sampled_from([RBF, LINEAR]),
+    st.sampled_from(
+        [(shape, kind) for shape in ("indicator", "count", "normal") for kind in (RBF, LINEAR)]
+        # the dense linear path itself loses these to rounding, so rbf only
+        + [("wide", RBF), ("distinct", RBF)]
+    ),
 )
-def test_label_quadratic_form_matches_dense_trace(n, seed, shape, kind):
+def test_label_quadratic_form_matches_dense_trace(n, seed, case):
+    shape, kind = case
     rng = np.random.default_rng(seed)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     x = {
         "indicator": lambda: (rng.random(n) < 0.5).astype(float),
         "count": lambda: rng.poisson(3.0, n).astype(float),
         "normal": lambda: rng.standard_normal(n),
+        # few distinct values of wide magnitude
+        "wide": lambda: rng.choice([0.0, 1.0, 37.0, 1e3, 5e4], n),
+        # every value distinct, k = n
+        "distinct": lambda: rng.permutation(n).astype(float),
     }[shape]()
     cfg = DependenceConfig(KernelSpec(kind), EPS)
     u, a = label_direction(y, cfg)
@@ -240,6 +248,73 @@ def test_label_quadratic_form_linear_closed_form_at_n2000():
         # the dense tr(R_x R_y) misses this closed form by up to 3.7e-10
         # relative on these columns; the bound allows about ten times that
         assert a * quadratic_form(x, u, LIN) == pytest.approx(want, rel=5e-9, abs=0), name
+
+
+@pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])
+def test_quadratic_form_is_row_permutation_invariant(cfg):
+    rng = np.random.default_rng(13)
+    n = 300
+    y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    u, _ = label_direction(y, cfg)
+    perm = rng.permutation(n)
+    for x in (
+        (rng.random(n) < 0.3).astype(float),
+        rng.poisson(4.0, n).astype(float),
+        rng.standard_normal(n),
+    ):
+        assert quadratic_form(x[perm], u[perm], cfg) == pytest.approx(
+            quadratic_form(x, u, cfg), rel=1e-12
+        )
+
+
+def _exact_linear_form(x, u, epsilon):
+    # (u^T z)^2 / (||z||^2 + n eps), z = x - mean(x), in exact rationals
+    from fractions import Fraction
+
+    xs = [Fraction(v) for v in x.tolist()]
+    n = len(xs)
+    mean = sum(xs) / n
+    z = [v - mean for v in xs]
+    uz = sum(Fraction(a) * b for a, b in zip(u.tolist(), z))
+    return float(uz * uz / (sum(v * v for v in z) + n * Fraction(epsilon)))
+
+
+@pytest.mark.parametrize("shape", ["lognormal", "integer"])
+def test_linear_quadratic_form_exact_at_large_magnitude(shape):
+    # Taiwan-credit-like magnitudes: the dense n x n Gram's rounding swamps
+    # the n*eps ridge there, and its Cholesky factor fails or drifts
+    rng = np.random.default_rng(14)
+    n = 1000
+    x = {
+        "lognormal": lambda: rng.lognormal(11.0, 1.0, n),
+        "integer": lambda: rng.integers(10_000, 1_000_000, n).astype(float),
+    }[shape]()
+    z = (x - x.mean()) / x.std()
+    y = np.where(z + rng.standard_normal(n) > 0, 1.0, -1.0)
+    u, _ = label_direction(y, LIN)
+    assert quadratic_form(x, u, LIN) == pytest.approx(_exact_linear_form(x, u, EPS), rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])
+def test_label_scoring_memory_is_linear_in_n(cfg):
+    # value-space scoring holds O(n + k^2) bytes; a dense n x n Gram
+    # alone would be 8n bytes per row
+    import tracemalloc
+
+    rng = np.random.default_rng(15)
+    n = 3000
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    indicator = (rng.random(n) < 0.3).astype(float)
+    count = rng.integers(0, 50, n).astype(float)
+    tracemalloc.start()
+    try:
+        u, _ = label_direction(y, cfg)
+        quadratic_form(indicator, u, cfg)
+        quadratic_form(count, u, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * n
 
 
 def test_hsic_and_nocco_agree_on_degenerate_flags():

@@ -41,6 +41,28 @@ def test_gram_matches_loop_oracle(kind):
     np.testing.assert_allclose(gram(v, KernelSpec(kind)), naive_gram(v, kind), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 17, 600])
+def test_rbf_gram_is_bit_identical_to_formula(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 50.0
+    d = v[:, None] - v[None, :]
+    np.testing.assert_array_equal(gram(v, KernelSpec(RBF)), np.exp(-(d * d) / n))
+
+
+def test_rbf_gram_holds_one_n_by_n_buffer():
+    import tracemalloc
+
+    n = 600
+    v = np.random.default_rng(7).standard_normal(n)
+    tracemalloc.start()
+    try:
+        gram(v, KernelSpec(RBF))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
+
+
 def test_gram_rejects_non_finite():
     with pytest.raises(DataError):
         gram(np.array([1.0, np.nan, 2.0]))
