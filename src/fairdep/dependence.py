@@ -10,7 +10,8 @@ which makes nocco insensitive to the scale of the observations; eps
 defaults to 1e-6. R is obtained from a Cholesky solve of the SPD matrix
 G + n*eps*I, never from a general-purpose inverse. `hsic`, `nocco` and
 `regularized_operator` form these n x n matrices; they are the dense
-reference.
+reference. Under the linear kernel they lose accuracy on large-magnitude
+columns without raising, so the detector uses the closed form below.
 
 A two-valued label has a rank-one R_y = a uu^T, so nocco(x, y) is
 a * u^T R_x u, and the detector scores a column x by that quadratic
@@ -18,14 +19,26 @@ form alone, on x's k distinct values. With P the n x k indicator of
 which value each row holds and c its column counts, Q = P diag(c)^{-1/2}
 has orthonormal columns and G_x = Q K~ Q^T, where
 
-    K~ = Pi diag(sqrt c) K_v diag(sqrt c) Pi,   Pi = I - ww^T,  w = sqrt(c/n)
+    K~ = Pi M Pi,  M = diag(sqrt c) K_v diag(sqrt c),  Pi = I - ww^T,  w = sqrt(c/n)
 
 is k x k and K_v is the kernel on the distinct values (RBF bandwidth
-and ridge still use n). Hence u^T R_x u = t^T t - n*eps ||L^{-1} t||^2
-with t = Q^T u and L L^T = K~ + n*eps*I: O(n log n + k^3) time and
-O(n + k^2) memory per column. The linear kernel's K~ has rank one, so
-there u^T R_x u = (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x),
-in O(n) and without a factorization.
+and ridge still use n). Hence u^T R_x u = t^T t - n*eps t^T (K~ + n*eps*I)^{-1} t
+with t = Q^T u. As u is centered, t is orthogonal to w, and since
+K~ + n*eps*I = Pi A Pi + n*eps ww^T with the uncentered A = M + n*eps*I,
+that solve is the one on the compression of A to the complement of w:
+
+    u^T R_x u = t^T t - n*eps (t^T p - (w^T p)^2 / (w^T q)),  p = A^{-1} t,  q = A^{-1} w.
+
+A is banded: an RBF entry of two values more than sqrt(746 n) apart
+underflows to exactly 0.0, so A equals its band of width kd, the most
+values lying within that distance above any one value. One banded
+Cholesky factor and one two-column solve give the form exactly, with no
+entry dropped for being small, in O(n log n + k kd^2) time and
+O(n + k kd) memory per column. kd is 0 for a column whose values all lie
+that far apart, and k - 1 for one whose values all lie close. The
+linear kernel's K~ has rank one, so there
+u^T R_x u = (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x), in O(n)
+and without a factorization.
 """
 
 from dataclasses import dataclass
@@ -34,7 +47,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NumericsError
-from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, value_gram
+from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, value_band, value_gram
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,9 @@ def _canonical_indicator(v: np.ndarray) -> np.ndarray:
     return v
 
 
+_NOT_PD = "Gram plus ridge is not positive definite; the kernel matrix is broken (non-PSD input?)"
+
+
 def hsic(x, y, spec: KernelSpec = KernelSpec()) -> float:
     """Empirical HSIC of two equal-length vectors.
 
@@ -86,29 +102,29 @@ def hsic(x, y, spec: KernelSpec = KernelSpec()) -> float:
     return float(np.vdot(gx, gy)) / (n - 1) ** 2
 
 
-def _ridge_factor(A: np.ndarray, ridge: float):
-    """Cholesky factor of A + ridge*I from A's lower triangle, in place when A is Fortran-ordered."""
-    A.flat[:: A.shape[0] + 1] += ridge
-    try:
-        return linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise NumericsError(
-            "centered Gram plus ridge is not positive definite; "
-            "the kernel matrix is broken (non-PSD input?)"
-        ) from exc
-
-
 def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
-    """R = G (G + n*eps*I)^{-1} for G = H K H.
+    """R = G (G + n*eps*I)^{-1} for G = H K H, K a symmetric Gram.
 
     G and (G + n*eps*I)^{-1} commute, so R equals the solution Z of the
     SPD system (G + n*eps*I) Z = G; Z comes from a Cholesky factorization
     and is symmetrized to scrub rounding asymmetry.
+
+    A dense reference, accurate while rounding in K stays small against
+    the n*eps ridge. A linear-kernel Gram of large-magnitude values
+    (entries around 1e9) breaks that: the result drifts without any error
+    being raised (1.6-3.1 % off the exact value on an Adult-shaped
+    capital-gain column), or the factor fails. The detector uses the
+    closed form of `quadratic_form` instead.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     G = center(K)
-    factor = _ridge_factor(np.asfortranarray(G), G.shape[0] * epsilon)
+    A = np.asfortranarray(G)
+    A.flat[:: A.shape[0] + 1] += A.shape[0] * epsilon
+    try:
+        factor = linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise NumericsError(_NOT_PD) from exc
     R = linalg.cho_solve(factor, G, check_finite=False)
     return (R + R.T) / 2.0
 
@@ -118,7 +134,10 @@ def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:
 
     Symmetric in (x, y), nonnegative, and bounded by min(tr R_x, tr R_y).
     0/1 indicator inputs are complement-canonicalized, so an indicator
-    and its complement score identically to the last bit.
+    and its complement score identically to the last bit. A dense
+    reference built on `regularized_operator`: under the linear kernel it
+    loses accuracy on large-magnitude columns without raising, where the
+    detector's closed form (`quadratic_form`) stays exact.
     """
     x, y = _check_pair(x, y)
     x = _canonical_indicator(x)
@@ -150,16 +169,20 @@ def label_direction(y, config: DependenceConfig = DependenceConfig()) -> tuple[n
 
 
 def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig()) -> float:
-    """u^T R_x u for a column x, computed on x's distinct values.
+    """u^T R_x u for a column x and a centered u, computed on x's distinct values.
 
     With u, a from `label_direction`, nocco(x, y) = a * quadratic_form(x, u).
     Linear kernel: (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x).
-    Otherwise, for x's k distinct values with counts c and t the sums of
-    u over each value's rows divided by sqrt(c), the form is
-    t^T t - n*eps ||L^{-1} t||^2, where L L^T = K~ + n*eps*I factors the
-    k x k centered value Gram K~ (see the module docstring): one k x k
-    buffer, one Cholesky factor and one triangular solve. 0/1 indicators
-    are complement-canonicalized as in `nocco`.
+    Otherwise, for x's k distinct values with counts c, t the sums of u
+    over each value's rows divided by sqrt(c) and w = sqrt(c/n), the form
+    is t^T t - n*eps (t^T p - (w^T p)^2 / (w^T q)) with [p, q] = A^{-1} [t, w]
+    and A = diag(sqrt c) K_v diag(sqrt c) + n*eps*I the uncentered value
+    Gram (see the module docstring). A is held as its exact nonzero band
+    of width kd (`value_band`): one (kd+1) x k buffer, which the banded
+    Cholesky factor overwrites, and one solve for both right-hand sides,
+    in O(n log n + k kd^2) time and O(n + k kd) memory; no k x k array
+    unless the band is full. 0/1 indicators are complement-canonicalized
+    as in `nocco`.
     """
     x, u = _check_pair(kernel_input(x), u)
     x = _canonical_indicator(x)
@@ -172,14 +195,14 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     root = np.sqrt(counts)
     t = np.bincount(code, u) / root
     w = root / np.sqrt(n)
-    K = value_gram(values, n, config.kernel)
-    K *= root[:, None]
-    K *= root
-    # Pi M Pi = M - (w b^T + b w^T) with b = Mw - (w^T M w) w / 2; the
-    # update and the factor below read and write only the lower triangle
-    Kw = K @ w
-    b = Kw - 0.5 * float(w @ Kw) * w
-    K = linalg.blas.dsyr2(-1.0, w, b, lower=1, a=K, overwrite_a=1)
-    L, _ = _ridge_factor(K, ridge)
-    p = linalg.solve_triangular(L, t, lower=True, check_finite=False)
-    return float(t @ t) - ridge * float(p @ p)
+    ab = value_band(values, n, root)
+    ab[0] += ridge
+    try:
+        factor = linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise NumericsError(_NOT_PD) from exc
+    p, q = linalg.cho_solve_banded(
+        (factor, True), np.column_stack([t, w]), overwrite_b=True, check_finite=False
+    ).T
+    wp = float(w @ p)
+    return float(t @ t) - ridge * (float(t @ p) - wp * wp / float(w @ q))

@@ -9,7 +9,9 @@ The RBF exponent is scaled by 1/n with n the sample count; there is no
 free bandwidth parameter. Kernels are always evaluated per column, never
 on a whole matrix. `gram` gives the n x n matrix over a column's rows;
 `value_gram` gives the k x k matrix over its k distinct values at the
-same bandwidth, from which the detector works.
+same bandwidth. `value_band` gives the band of the scaled RBF value Gram
+outside which every entry underflows to exactly 0.0; the detector works
+from that band.
 """
 
 from dataclasses import dataclass
@@ -47,15 +49,23 @@ def kernel_input(values) -> np.ndarray:
     return v
 
 
+# np.exp(-s) is exactly 0.0 for every s > 745.14
+RBF_UNDERFLOW = 746.0
+
+
+def _rbf(D: np.ndarray, n: int) -> np.ndarray:
+    """exp(-D*D/n), in place on an array D of value differences."""
+    np.multiply(D, D, out=D)
+    # negation is exact, so d*d/(-n) is bit-identical to -(d*d)/n
+    np.divide(D, -n, out=D)
+    return np.exp(D, out=D)
+
+
 def _fill(K: np.ndarray, v: np.ndarray, n: int, kind: str) -> np.ndarray:
     """Write the kernel of v against itself into K, RBF bandwidth set by n."""
     if kind == LINEAR:
         return np.multiply.outer(v, v, out=K)
-    np.subtract.outer(v, v, out=K)
-    np.multiply(K, K, out=K)
-    # negation is exact, so d*d/(-n) is bit-identical to -(d*d)/n
-    np.divide(K, -n, out=K)
-    return np.exp(K, out=K)
+    return _rbf(np.subtract.outer(v, v, out=K), n)
 
 
 def gram(values, spec: KernelSpec = KernelSpec()) -> np.ndarray:
@@ -77,16 +87,56 @@ def value_gram(values, n: int, spec: KernelSpec = KernelSpec()) -> np.ndarray:
     return _fill(np.empty((v.size, v.size), order="F"), v, n, spec.kind)
 
 
-def center(K) -> np.ndarray:
-    """Doubly-centered Gram matrix H K H with H = I - ee^T/n.
+def value_band(values, n: int, scale) -> np.ndarray:
+    """Lower band of diag(scale) K diag(scale), K the RBF Gram of sorted distinct values.
 
-    Computed without materialising H: subtract row means, column means,
-    add back the grand mean. Every row and column of the result sums to
-    zero (up to rounding).
+    In LAPACK lower band storage: a Fortran-ordered (kd+1) x k array whose
+    entry [d, j] is matrix entry (j + d, j), bit-identical to the scaled
+    `value_gram(values, n)` (same formula, same operand order); entries
+    [d, j] with j + d >= k are padding. kd is the largest number of values
+    within sqrt(746 n) above any value; values further apart have an
+    exponent beyond RBF_UNDERFLOW, so every entry outside the band is
+    exactly 0.0 and the band equals the matrix. Builds no k x k array.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    s = np.asarray(scale, dtype=np.float64).ravel()
+    k = v.size
+    reach = np.searchsorted(v, v + np.sqrt(RBF_UNDERFLOW * n), "right")
+    kd = int(np.max(reach - np.arange(1, k + 1)))
+
+    def windows(a):
+        # read-only view with windows(a)[j, d] = a[j + d], padded past the end with a[-1]
+        padded = np.concatenate([a, np.full(kd, a[-1])])
+        step = padded.strides[0]
+        return np.lib.stride_tricks.as_strided(padded, (k, kd + 1), (step, step), writeable=False)
+
+    ab = np.empty((kd + 1, k), order="F")
+    lower = ab.T  # C-ordered view, lower[j, d] = ab[d, j]
+    _rbf(np.subtract(windows(v), v[:, None], out=lower), n)
+    lower *= windows(s)
+    lower *= s[:, None]
+    return ab
+
+
+def center(K) -> np.ndarray:
+    """Doubly-centered Gram matrix H K H with H = I - ee^T/n, for a symmetric K.
+
+    Computed without materialising H: subtract the column means and the row
+    means, add back the grand mean. Row and column means of a symmetric K
+    are the same vector m, and entries (i, j) and (j, i) subtract m[i] and
+    m[j] in the two orders; the result holds the mean of both orders, so it
+    is exactly symmetric. (Subtracting the rounded m[i] + m[j] instead is
+    symmetric too, but doubles the dense linear reference's rounding
+    error.) Every row and column of the result sums to zero (up to
+    rounding).
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    col_means = K.mean(axis=0, keepdims=True)
-    row_means = K.mean(axis=1, keepdims=True)
-    return K - col_means - row_means + K.mean()
+    m = K.mean(axis=0)
+    G = K - m
+    G -= m[:, None]
+    G += G.T
+    G *= 0.5
+    G += K.mean()
+    return G

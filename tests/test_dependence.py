@@ -194,7 +194,7 @@ def test_nocco_nonnegative(x, y, kind):
     st.sampled_from(
         [(shape, kind) for shape in ("indicator", "count", "normal") for kind in (RBF, LINEAR)]
         # the dense linear path itself loses these to rounding, so rbf only
-        + [("wide", RBF), ("distinct", RBF)]
+        + [("wide", RBF), ("distinct", RBF), ("money", RBF)]
     ),
 )
 def test_label_quadratic_form_matches_dense_trace(n, seed, case):
@@ -209,6 +209,8 @@ def test_label_quadratic_form_matches_dense_trace(n, seed, case):
         "wide": lambda: rng.choice([0.0, 1.0, 37.0, 1e3, 5e4], n),
         # every value distinct, k = n
         "distinct": lambda: rng.permutation(n).astype(float),
+        # NT$-like amounts: most value pairs lie outside the RBF band
+        "money": lambda: np.round(rng.lognormal(np.log(22000), 1.2, n)),
     }[shape]()
     cfg = DependenceConfig(KernelSpec(kind), EPS)
     u, a = label_direction(y, cfg)
@@ -297,7 +299,7 @@ def test_linear_quadratic_form_exact_at_large_magnitude(shape):
 
 @pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])
 def test_label_scoring_memory_is_linear_in_n(cfg):
-    # value-space scoring holds O(n + k^2) bytes; a dense n x n Gram
+    # value-space scoring holds O(n + k kd) bytes; a dense n x n Gram
     # alone would be 8n bytes per row
     import tracemalloc
 
@@ -315,6 +317,26 @@ def test_label_scoring_memory_is_linear_in_n(cfg):
     finally:
         tracemalloc.stop()
     assert peak <= 128 * n
+
+
+def test_banded_quadratic_form_memory_stays_within_band():
+    # a money column at n=2000 has k of about 2000 distinct values but a
+    # nonzero band of width about 80: the scoring buffer is (kd+1) x k,
+    # where a k x k value Gram alone would take about 30 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    n = 2000
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    money = np.round(rng.lognormal(np.log(22000), 1.2, n))
+    u, _ = label_direction(y, GAUSS)
+    tracemalloc.start()
+    try:
+        quadratic_form(money, u, GAUSS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_hsic_and_nocco_agree_on_degenerate_flags():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairdep import DataError, KernelSpec, center, gram
-from fairdep.kernels import LINEAR, RBF
+from fairdep.kernels import LINEAR, RBF, value_band, value_gram
 
 from oracles import naive_center, naive_gram
 
@@ -111,6 +111,16 @@ def test_center_matches_explicit_h_oracle():
     np.testing.assert_allclose(center(K), naive_center(K), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, n", [(RBF, 600), (LINEAR, 2000)])
+def test_center_is_exactly_symmetric(kind, n):
+    rng = np.random.default_rng(n)
+    # row and column means summed in different orders would leave these
+    # about 4e-15 and 7e-15 off symmetric
+    v = rng.standard_normal(n) if kind == RBF else rng.poisson(4.0, n).astype(float)
+    G = center(gram(v, KernelSpec(kind)))
+    np.testing.assert_array_equal(G, G.T)
+
+
 def test_center_rejects_non_square():
     with pytest.raises(ValueError):
         center(np.ones((3, 4)))
@@ -153,3 +163,33 @@ def test_psd_on_random_probes():
         K = gram(v, KernelSpec(kind))
         w = np.linalg.eigvalsh(K)
         assert w.min() >= -1e-8 * len(v)
+
+
+def _band_columns(n):
+    rng = np.random.default_rng(n)
+    return {
+        "indicator": (rng.random(n) < 0.3).astype(float),
+        "count": rng.poisson(3.0, n).astype(float),
+        "normal": rng.standard_normal(n),
+        "money": np.round(rng.lognormal(np.log(22000), 1.2, n)),
+        "pay": np.round(rng.lognormal(np.log(2500), 1.1, n)),
+    }
+
+
+@pytest.mark.parametrize("n", [40, 2000])
+@pytest.mark.parametrize("shape", ["indicator", "count", "normal", "money", "pay"])
+def test_value_band_is_the_exact_nonzero_band(shape, n):
+    values, counts = np.unique(_band_columns(n)[shape], return_counts=True)
+    root = np.sqrt(counts)
+    ab = value_band(values, n, root)
+    assert ab.flags.f_contiguous
+    kd, k = ab.shape[0] - 1, values.size
+    K = value_gram(values, n)
+    K *= root[:, None]
+    K *= root
+    for d in range(kd + 1):
+        np.testing.assert_array_equal(ab[d, : k - d], np.diagonal(K, -d))
+    # everything below the band underflowed to exactly zero
+    assert not np.tril(K, -kd - 1).any()
+    if n == 2000 and shape in ("money", "pay"):
+        assert kd < k // 2
