@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .data import EncodedDataset
 from .dependence import DependenceConfig
@@ -181,6 +180,27 @@ def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
     return float(np.mean(defined)), len(values) - len(defined)
 
 
+def _average_ranks(x) -> np.ndarray:
+    """Ranks 1..n; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
+
+
+def _spearman(a, b) -> float:
+    """Spearman rank correlation of two equal-length samples.
+
+    Pearson correlation of the average ranks, taken as scipy's
+    `spearmanr` takes it (the [1, 0] entry of `corrcoef` on the stacked
+    ranks), so the two agree bit for bit. NaN when either input is
+    constant.
+    """
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if (ra == ra[0]).all() or (rb == rb[0]).all():
+        return float("nan")
+    return float(np.corrcoef(np.column_stack((ra, rb)), rowvar=False)[1, 0])
+
+
 def _spearman_or_none(pairs) -> float | None:
     """Rank correlation, or None when degenerate (too few or constant)."""
     if len(pairs) < 3:
@@ -189,7 +209,7 @@ def _spearman_or_none(pairs) -> float | None:
     b = np.array([p[1] for p in pairs])
     if np.unique(a).size < 2 or np.unique(b).size < 2:
         return None
-    return float(stats.spearmanr(a, b).statistic)
+    return _spearman(a, b)
 
 
 def validate(
@@ -349,7 +369,7 @@ def kernel_consistency(
     d_rbf = [fs.score for fs in r_rbf.scores]
     d_lin = [fs.score for fs in r_lin.scores]
     if len(d_rbf) >= 3:
-        rho = float(stats.spearmanr(d_rbf, d_lin).statistic)
+        rho = _spearman(d_rbf, d_lin)
     else:
         rho = 1.0 if np.argsort(d_rbf).tolist() == np.argsort(d_lin).tolist() else -1.0
 

@@ -60,3 +60,80 @@ def brute_force_group_confusion(predictions, labels, group):
         else:
             cells["fn" + suffix] += 1
     return cells
+
+
+def argsort_cart_forest(X, y, n_trees, seed, mtry, max_depth=None, bootstrap=True):
+    """Random forest of Gini CART trees, every split found by sorting.
+
+    Each node sorts each drawn feature (stable `argsort`), scores every
+    cut between unequal neighbours from a cumulative label sum, keeps the
+    first minimum, compares features in draw order with strict `<`, and
+    partitions with `x <= threshold`. The random draws (one child seed
+    per tree, a bootstrap resample, one `choice` per node, depth first
+    with the right child popped first) follow `RandomForest.fit`, so the
+    trees must agree node for node. Returns one (feature, threshold,
+    left, right, value) tuple of lists per tree.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    b = (np.asarray(y).ravel() == 1).astype(np.int64)
+    n, m = X.shape
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(_argsort_cart_tree(X, b, idx, rng, mtry, max_depth))
+    return trees
+
+
+def _argsort_cart_tree(X, b, idx, rng, mtry, max_depth):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(rows):
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(int(b[rows].sum() * 2 > rows.size))  # ties fall to 0
+        return len(feature) - 1
+
+    stack = [(new_node(idx), idx, 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        k = rows.size
+        pos = int(b[rows].sum())
+        if pos == 0 or pos == k or k < 2:
+            continue
+        if max_depth is not None and depth >= max_depth:
+            continue
+        feats = rng.choice(X.shape[1], size=mtry, replace=False)
+        best_cost, best = np.inf, None
+        labels = b[rows]
+        for f in feats:
+            v = X[rows, f]
+            order = np.argsort(v, kind="stable")
+            vs = v[order]
+            if vs[0] == vs[-1]:
+                continue
+            bs = labels[order]
+            left_pos = np.cumsum(bs)[:-1]
+            left_n = np.arange(1, k)
+            right_n = k - left_n
+            right_pos = left_pos[-1] + bs[-1] - left_pos
+            p_l = left_pos / left_n
+            p_r = right_pos / right_n
+            cost = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / k
+            cost[vs[1:] == vs[:-1]] = np.inf
+            i = int(np.argmin(cost))
+            if cost[i] < best_cost:
+                best_cost = cost[i]
+                best = (int(f), float((vs[i] + vs[i + 1]) / 2))
+        if best is None:
+            continue
+        f, thr = best
+        goes_left = X[rows, f] <= thr
+        feature[node], threshold[node] = f, thr
+        left[node] = new_node(rows[goes_left])
+        right[node] = new_node(rows[~goes_left])
+        stack.append((left[node], rows[goes_left], depth + 1))
+        stack.append((right[node], rows[~goes_left], depth + 1))
+    return feature, threshold, left, right, value

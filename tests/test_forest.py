@@ -1,7 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import argsort_cart_forest
 
 from fairdep import DataError, ForestConfig, RandomForest
+from fairdep.dependence import DependenceConfig
+from fairdep.detector import audit_dataset
+from fairdep.kernels import LINEAR, KernelSpec
+from fairdep.synth import default_validation_spec, generate
+from fairdep.validation import cross_validate
 
 
 def planted_problem(n, seed, flip=0.0):
@@ -89,3 +99,110 @@ def test_max_depth_limits_tree():
     X, y = planted_problem(300, seed=9, flip=0.3)
     shallow = RandomForest(ForestConfig(n_trees=10, max_depth=1, seed=0)).fit(X, y)
     assert max(len(t.feature) for t in shallow.trees) <= 3  # root + two leaves
+
+
+def test_nan_input_rejected():
+    X, y = planted_problem(50, seed=10)
+    X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        RandomForest(ForestConfig(n_trees=2)).fit(X, y)
+
+
+# ------------------------------------------- bit identity with the argsort CART
+
+
+def _tree_arrays(tree):
+    return (
+        np.asarray(tree.feature, dtype=np.int64),
+        np.asarray(tree.threshold, dtype=np.float64),
+        np.asarray(tree.left, dtype=np.int64),
+        np.asarray(tree.right, dtype=np.int64),
+        np.asarray(tree.value, dtype=np.int64),
+    )
+
+
+def test_trees_and_cv_predictions_match_golden_hashes():
+    # SHA-256 of the argsort CART's output, captured before the two-valued
+    # count route existed: the trees of the planted problems above, and the
+    # out-of-fold predictions on the validation suite as `fairdep validate
+    # --kernel linear` encodes it, under the default forest
+    digest = hashlib.sha256()
+    for (n, seed, flip), config in [
+        ((400, 1, 0.0), ForestConfig(n_trees=100, seed=0)),
+        ((300, 3, 0.2), ForestConfig(n_trees=30, seed=5)),
+        ((300, 6, 0.35), ForestConfig(n_trees=15, seed=0)),
+        ((300, 6, 0.35), ForestConfig(n_trees=15, seed=1)),
+        ((200, 8, 0.1), ForestConfig(n_trees=9, seed=2)),
+        ((300, 9, 0.3), ForestConfig(n_trees=10, max_depth=1, seed=0)),
+    ]:
+        X, y = planted_problem(n, seed, flip)
+        for tree in RandomForest(config).fit(X, y).trees:
+            for array in _tree_arrays(tree):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == "3b7c497fdc3ed704dc660f7cf71e6319ce381cbee31457ca2586ce01e13061ec"
+
+    dataset, _ = generate(default_validation_spec(7))
+    encoded, y, _ = audit_dataset(dataset, DependenceConfig(KernelSpec(LINEAR)))
+    predictions = cross_validate(encoded.matrix, y).predictions.astype(np.int64)
+    assert (
+        hashlib.sha256(predictions.tobytes()).hexdigest()
+        == "598b305ad8d8cf6c1f1cb6ee1331659fb84fd95ceea275091f5283a20c581ff9"
+    )
+
+
+def mixed_problem(n, seed):
+    """Every column kind the split routes distinguish, with planted cost ties."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.45, 1, -1)
+    y[:2] = (1, -1)
+    pos = y == 1
+    binary = (rng.random(n) < np.where(pos, 0.7, 0.3)).astype(float)
+    odd_pair = np.where(rng.random(n) < 0.5, 7.0, -3.5)
+    rare = (rng.random(n) < 0.05).astype(float)  # one value in most nodes
+    counts = rng.integers(0, 4, n) + pos.astype(float)
+    normal = rng.standard_normal(n) + 0.5 * pos
+    noise = rng.standard_normal(n)
+    ages = rng.integers(18, 40, n).astype(float)
+    same_cut = np.where(binary == 1, 7.0, -3.5)  # ties `binary` on the count route
+    nearly_binary = binary.copy()  # sorted route; ties `binary` where the 2 is absent
+    nearly_binary[rng.integers(n)] = 2.0
+    constant = np.full(n, 4.25)
+    X = np.column_stack(
+        [binary, odd_pair, rare, counts, normal, same_cut, nearly_binary, constant, 1 - binary, noise, ages]
+    )
+    return X, y
+
+
+def _assert_trees_match_reference(X, y, config):
+    forest = RandomForest(config).fit(X, y)
+    mtry = config.features_per_split(X.shape[1])
+    reference = argsort_cart_forest(
+        X, y, config.n_trees, config.seed, mtry, config.max_depth, config.bootstrap
+    )
+    assert len(forest.trees) == len(reference)
+    for tree, expected in zip(forest.trees, reference):
+        for got, want in zip(_tree_arrays(tree), expected):
+            np.testing.assert_array_equal(got, np.asarray(want, dtype=got.dtype))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    seed=st.integers(0, 2**32 - 1),
+    max_features=st.sampled_from([1, 2, 3, "sqrt", "all"]),
+    max_depth=st.sampled_from([None, 1, 3]),
+    bootstrap=st.booleans(),
+)
+def test_trees_match_argsort_reference(n, seed, max_features, max_depth, bootstrap):
+    X, y = mixed_problem(n, seed)
+    config = ForestConfig(
+        n_trees=4, max_depth=max_depth, max_features=max_features, bootstrap=bootstrap, seed=seed
+    )
+    _assert_trees_match_reference(X, y, config)
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_deep_trees_match_argsort_reference(bootstrap):
+    X, y = mixed_problem(1500, seed=21)
+    config = ForestConfig(n_trees=6, max_features=3, bootstrap=bootstrap, seed=4)
+    _assert_trees_match_reference(X, y, config)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from fairdep.data import dataset_from_arrays
 from fairdep.detector import detect, score_features
 from fairdep.synth import PlantedFeature, SynthSpec, generate
 from fairdep.validation import (
+    _spearman,
     kernel_consistency,
     stratified_folds,
     validate,
@@ -220,3 +225,58 @@ def test_kernel_consistency_single_candidate():
     ds = dataset_from_arrays(schema, [raw], y)
     kc = kernel_consistency(encode(ds), y)
     assert kc.sensitive_rbf == kc.sensitive_linear
+
+
+# ---------------------------------------------------- spearman
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, fairdep.cli; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or "import fairdep.cli loaded scipy.stats"
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_spearman_equals_scipy_bit_for_bit(ties):
+    from scipy import stats
+
+    rng = np.random.default_rng(11 + ties)
+    checked = 0
+    for _ in range(500):
+        n = int(rng.integers(3, 60))
+        if ties:
+            a = rng.integers(0, 4, n).astype(float)
+            b = rng.integers(0, 3, n) + 0.5 * rng.integers(0, 2, n)
+        else:
+            a = rng.standard_normal(n)
+            b = a + rng.standard_normal(n)
+        if (a == a[0]).all() or (b == b[0]).all():
+            continue
+        expected = float(stats.spearmanr(a, b).statistic)
+        assert _spearman(a, b) == expected, (a, b)
+        checked += 1
+    assert checked > 400
+
+
+def test_spearman_of_constant_input_is_nan():
+    assert np.isnan(_spearman([2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 2.0, 4.0]))
+    assert np.isnan(_spearman([1.0, 3.0, 2.0], [0.5, 0.5, 0.5]))
+
+
+def test_kernel_consistency_constant_scores_give_nan(monkeypatch):
+    import fairdep.validation as validation
+
+    dataset = suite_dataset(seed=3, n=120)
+    encoded = encode(dataset)
+    real = validation.score_features
+
+    def flat(encoded, y, cfg):
+        # every feature scores the same under the linear kernel
+        scores = real(encoded, y, cfg)
+        if cfg.kernel.kind != "linear":
+            return scores
+        return [replace(fs, score=0.5) for fs in scores]
+
+    monkeypatch.setattr(validation, "score_features", flat)
+    kc = kernel_consistency(encoded, dataset.y)
+    assert np.isnan(kc.spearman_features)
