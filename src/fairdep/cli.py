@@ -241,10 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except SchemaError as exc:
-        print(f"error (config): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -39,6 +39,19 @@ that far apart, and k - 1 for one whose values all lie close. The
 linear kernel's K~ has rank one, so there
 u^T R_x u = (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x), in O(n)
 and without a factorization.
+
+A column with two distinct values a < b, counts c_0, c_1 and sums s_0,
+s_1 of u over their rows has a rank-one centered Gram under any kernel:
+(g/n) c_0 c_1 times a unit projector, g = K(a,a) + K(b,b) - 2K(a,b),
+which is (b - a)^2 for the linear kernel and -2 expm1(-(b - a)^2/n) for
+the RBF. Hence, for any u,
+
+    u^T R_x u = g (s_0 c_1 - s_1 c_0)^2 / (n (g c_0 c_1 + n^2 eps)),
+
+in O(n) and without a factorization. It is symmetric in the two values,
+so x and a + b - x give the same bits; a constant column gives 0. The
+label is such a column, and with ||u|| = 1 its R_y = a uu^T has
+a = u^T R_y u, the same form.
 """
 
 from dataclasses import dataclass
@@ -47,7 +60,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NumericsError
-from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, value_band, value_gram
+from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, value_band
 
 
 @dataclass(frozen=True)
@@ -75,8 +88,9 @@ def _canonical_indicator(v: np.ndarray) -> np.ndarray:
 
     Centered Grams of b and 1-b coincide for both kernels, so the
     dependence of an indicator is complement-invariant; routing both
-    codings through the same arithmetic makes that equality exact
-    instead of rounding-level. Non-indicator vectors pass through.
+    codings through the same arithmetic makes the dense `nocco`'s
+    equality exact instead of rounding-level (`quadratic_form` is exact
+    by construction). Non-indicator vectors pass through.
     """
     u = np.unique(v)
     if u.size == 2 and u[0] == 0.0 and u[1] == 1.0:
@@ -150,11 +164,10 @@ def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:
 def label_direction(y, config: DependenceConfig = DependenceConfig()) -> tuple[np.ndarray, float]:
     """u and a with R_y = a uu^T for a two-valued label vector y.
 
-    Any kernel on such a y has a rank-one centered Gram H K_y H = c uu^T,
-    u = Hy/||Hy||, c = u^T K_y u, so a = c/(c + n*eps). c = s^T K_v s
-    with s the sums of u over the rows of each distinct label value, so
-    no n x n Gram is formed. A single-class y has Hy = 0 and R_y = 0, and
-    gets u = 0 and a = 0.
+    Any kernel on such a y has a rank-one centered Gram, with unit
+    direction u = Hy/||Hy||, so R_y = a uu^T and a = u^T R_y u, which is
+    `quadratic_form(y, u)`. No n x n Gram is formed. A single-class y has
+    Hy = 0 and R_y = 0, and gets u = 0 and a = 0.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     v = y - y.mean()
@@ -162,16 +175,16 @@ def label_direction(y, config: DependenceConfig = DependenceConfig()) -> tuple[n
     if vv == 0.0:
         return v, 0.0
     u = v / np.sqrt(vv)
-    values, code = np.unique(y, return_inverse=True)
-    s = np.bincount(code, u)
-    c = float(s @ value_gram(values, y.size, config.kernel) @ s)
-    return u, c / (c + y.size * config.epsilon)
+    return u, quadratic_form(y, u, config)
 
 
 def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig()) -> float:
     """u^T R_x u for a column x and a centered u, computed on x's distinct values.
 
     With u, a from `label_direction`, nocco(x, y) = a * quadratic_form(x, u).
+    A column with k <= 2 distinct values takes the two-valued closed form
+    g (s_0 c_1 - s_1 c_0)^2 / (n (g c_0 c_1 + n^2 eps)) under either
+    kernel (see the module docstring), with no factorization.
     Linear kernel: (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x).
     Otherwise, for x's k distinct values with counts c, t the sums of u
     over each value's rows divided by sqrt(c) and w = sqrt(c/n), the form
@@ -181,17 +194,24 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     of width kd (`value_band`): one (kd+1) x k buffer, which the banded
     Cholesky factor overwrites, and one solve for both right-hand sides,
     in O(n log n + k kd^2) time and O(n + k kd) memory; no k x k array
-    unless the band is full. 0/1 indicators are complement-canonicalized
-    as in `nocco`.
+    unless the band is full.
     """
     x, u = _check_pair(kernel_input(x), u)
-    x = _canonical_indicator(x)
     n = x.size
     ridge = n * config.epsilon
+    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
+    if values.size == 1:
+        return 0.0
+    if values.size == 2:
+        d = values[1] - values[0]
+        g = d * d if config.kernel.kind == LINEAR else -2.0 * np.expm1(-d * d / n)
+        (s0, s1), (c0, c1) = np.bincount(code, u), counts
+        # the integer product c0 * c1 is exact, so swapping the two values
+        # changes no rounding and x and a + b - x give the same bits
+        return float(g * (s0 * c1 - s1 * c0) ** 2 / (n * (g * (c0 * c1) + n * ridge)))
     if config.kernel.kind == LINEAR:
         z = x - x.mean()
         return float(u @ z) ** 2 / (float(z @ z) + ridge)
-    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
     root = np.sqrt(counts)
     t = np.bincount(code, u) / root
     w = root / np.sqrt(n)

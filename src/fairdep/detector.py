@@ -3,13 +3,13 @@
 Every feature gets a dependence score against the label vector, the
 NOCCO quadratic form of its column's operator along the label's
 rank-one direction (see `dependence.label_direction`): numeric and
-binary features are scored on their single encoded column;
-a categorical feature with q >= 3 categories is scored per indicator
-column and takes the maximum. Binary features are scored once, because
-an indicator and its complement have identical centered Grams and hence
-identical scores. The threshold is the median of all m feature scores,
-and candidate features scoring at or above it are flagged sensitive,
-each with its top-scoring group.
+binary features are scored on their single encoded column; a
+categorical feature is scored per indicator column and takes the
+maximum. The two indicators of a two-category feature are complements,
+which the two-valued closed form scores bit for bit alike, so its
+maximum falls on the first. The threshold is the median of all m
+feature scores, and candidate features scoring at or above it are
+flagged sensitive, each with its top-scoring group.
 """
 
 from __future__ import annotations
@@ -141,8 +141,9 @@ def score_features(
     The label's operator is rank one, R_y = a uu^T, so each column's
     score is a * u^T R_x u, computed on the column's distinct values
     (`dependence.quadratic_form`), with u and a computed once from the
-    labels. No n x n array is formed. Single-class labels score every
-    column 0.
+    labels. Every encoded column is scored, and a feature's score is the
+    maximum over its block, ties going to the first column. No n x n
+    array is formed. Single-class labels score every column 0.
     """
     y = _check_labels(y)
     if y.size != encoded.n:
@@ -160,14 +161,8 @@ def score_features(
     for j, col in enumerate(encoded.schema.columns):
         block = encoded.parent_columns[j]
         names = tuple(encoded.subfeatures[c].name for c in block)
-        if col.kind == CATEGORICAL and len(block) >= 3:
-            scores = tuple(score(c) for c in block)
-            argmax = int(np.argmax(scores))  # ties resolve to the lowest index
-        else:
-            # one evaluation covers the whole block: a two-category
-            # feature's indicators are complements with equal scores
-            scores = (score(block[0]),) * len(block)
-            argmax = 0
+        scores = tuple(score(c) for c in block)
+        argmax = int(np.argmax(scores))  # ties resolve to the lowest index
         out.append(
             FeatureScore(
                 index=j,

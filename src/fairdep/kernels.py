@@ -7,11 +7,10 @@ Two kernels are supported. For a length-n vector z,
 
 The RBF exponent is scaled by 1/n with n the sample count; there is no
 free bandwidth parameter. Kernels are always evaluated per column, never
-on a whole matrix. `gram` gives the n x n matrix over a column's rows;
-`value_gram` gives the k x k matrix over its k distinct values at the
-same bandwidth. `value_band` gives the band of the scaled RBF value Gram
-outside which every entry underflows to exactly 0.0; the detector works
-from that band.
+on a whole matrix. `gram` gives the n x n matrix over a column's rows.
+`value_band` gives the band of the scaled RBF Gram over a column's k
+distinct values, at the same bandwidth n, outside which every entry
+underflows to exactly 0.0; the detector works from that band.
 """
 
 from dataclasses import dataclass
@@ -61,39 +60,26 @@ def _rbf(D: np.ndarray, n: int) -> np.ndarray:
     return np.exp(D, out=D)
 
 
-def _fill(K: np.ndarray, v: np.ndarray, n: int, kind: str) -> np.ndarray:
-    """Write the kernel of v against itself into K, RBF bandwidth set by n."""
-    if kind == LINEAR:
-        return np.multiply.outer(v, v, out=K)
-    return _rbf(np.subtract.outer(v, v, out=K), n)
-
-
 def gram(values, spec: KernelSpec = KernelSpec()) -> np.ndarray:
     """n x n Gram matrix of a single feature vector, in one n x n buffer.
 
     Raises DataError on non-finite entries and ValueError for n < 2.
     """
     v = kernel_input(values)
-    return _fill(np.empty((v.size, v.size)), v, v.size, spec.kind)
-
-
-def value_gram(values, n: int, spec: KernelSpec = KernelSpec()) -> np.ndarray:
-    """k x k Gram of a column's k distinct values, in a Fortran-ordered buffer.
-
-    The RBF bandwidth is the column's row count n, not k, so entry (a, b)
-    equals `gram(column)[i, j]` for any rows i, j holding values a and b.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    return _fill(np.empty((v.size, v.size), order="F"), v, n, spec.kind)
+    K = np.empty((v.size, v.size))
+    if spec.kind == LINEAR:
+        return np.multiply.outer(v, v, out=K)
+    return _rbf(np.subtract.outer(v, v, out=K), v.size)
 
 
 def value_band(values, n: int, scale) -> np.ndarray:
     """Lower band of diag(scale) K diag(scale), K the RBF Gram of sorted distinct values.
 
     In LAPACK lower band storage: a Fortran-ordered (kd+1) x k array whose
-    entry [d, j] is matrix entry (j + d, j), bit-identical to the scaled
-    `value_gram(values, n)` (same formula, same operand order); entries
-    [d, j] with j + d >= k are padding. kd is the largest number of values
+    entry [d, j] is matrix entry (j + d, j), that is `gram(column)[r, s]`
+    for rows r, s holding values j + d and j (same formula, same operand
+    order, so bit for bit) times scale[j + d] * scale[j]; entries [d, j]
+    with j + d >= k are padding. kd is the largest number of values
     within sqrt(746 n) above any value; values further apart have an
     exponent beyond RBF_UNDERFLOW, so every entry outside the band is
     exactly 0.0 and the band equals the matrix. Builds no k x k array.

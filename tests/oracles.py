@@ -21,6 +21,17 @@ def naive_gram(v, kind):
     return K
 
 
+def value_gram(values, n):
+    """RBF Gram of a column's distinct values at the column's bandwidth n.
+
+    Entry (a, b) is exp((v_a - v_b)^2 / -n) as one array expression,
+    for comparing `value_band` against bit for bit.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    D = np.subtract.outer(v, v)
+    return np.exp(D * D / -n)
+
+
 def naive_center(K):
     n = K.shape[0]
     H = np.eye(n) - np.ones((n, n)) / n

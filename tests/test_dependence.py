@@ -281,7 +281,7 @@ def _exact_linear_form(x, u, epsilon):
     return float(uz * uz / (sum(v * v for v in z) + n * Fraction(epsilon)))
 
 
-@pytest.mark.parametrize("shape", ["lognormal", "integer"])
+@pytest.mark.parametrize("shape", ["lognormal", "integer", "two-valued"])
 def test_linear_quadratic_form_exact_at_large_magnitude(shape):
     # Taiwan-credit-like magnitudes: the dense n x n Gram's rounding swamps
     # the n*eps ridge there, and its Cholesky factor fails or drifts
@@ -290,11 +290,45 @@ def test_linear_quadratic_form_exact_at_large_magnitude(shape):
     x = {
         "lognormal": lambda: rng.lognormal(11.0, 1.0, n),
         "integer": lambda: rng.integers(10_000, 1_000_000, n).astype(float),
+        "two-valued": lambda: rng.choice([10_000.0, 960_000.0], n),
     }[shape]()
     z = (x - x.mean()) / x.std()
     y = np.where(z + rng.standard_normal(n) > 0, 1.0, -1.0)
     u, _ = label_direction(y, LIN)
     assert quadratic_form(x, u, LIN) == pytest.approx(_exact_linear_form(x, u, EPS), rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])
+def test_two_valued_form_is_exact_under_value_swap(cfg):
+    # x and lo + hi - x have the same centered Gram under any kernel, and
+    # the two-valued form is symmetric in the two values, so the bits agree
+    rng = np.random.default_rng(17)
+    pairs = [(0.0, 1.0), (-3.5, 7.0), (1e4, 9.6e5)]
+    for draw in range(50):
+        lo, hi = pairs[draw % len(pairs)]
+        n = int(rng.integers(3, 401))
+        x = np.where(rng.random(n) < rng.uniform(0.1, 0.9), hi, lo)
+        x[:2] = lo, hi
+        u, _ = label_direction(np.where(rng.random(n) < 0.5, 1.0, -1.0), cfg)
+        assert quadratic_form(x, u, cfg) == quadratic_form(lo + hi - x, u, cfg), (draw, n, lo)
+
+
+def test_two_valued_columns_need_no_factor(monkeypatch):
+    from fairdep import dependence
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("two-valued columns take the closed form")
+
+    monkeypatch.setattr(dependence.linalg, "cholesky_banded", refuse)
+    monkeypatch.setattr(dependence.linalg, "cho_solve_banded", refuse)
+    rng = np.random.default_rng(18)
+    n = 200
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    u, a = label_direction(y, GAUSS)
+    assert 0 < a < 1
+    assert quadratic_form((rng.random(n) < 0.3).astype(float), u, GAUSS) >= 0
+    assert quadratic_form(np.where(y > 0, 7.0, -3.5), u, GAUSS) > 0.9
+    assert quadratic_form(np.full(n, 2.5), u, GAUSS) == 0.0
 
 
 @pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])

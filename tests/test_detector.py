@@ -103,14 +103,23 @@ def test_binary_feature_scored_once_and_coding_invariant():
         scores = []
         for order in (("m", "f"), ("f", "m")):
             schema = Schema(
-                columns=(Column("sex", "binary", categories=order),),
+                columns=(
+                    Column("sex", "binary", categories=order),
+                    Column("grp", "categorical", categories=order),
+                ),
                 label="y",
                 positive="1",
             )
-            ds = dataset_from_arrays(schema, [raw], y)
-            (score,) = score_features(encode(ds), y, DependenceConfig(KernelSpec(kind)))
-            scores.append(score.score)
-        # both codings reach the same canonical indicator, so the match is exact
+            ds = dataset_from_arrays(schema, [raw, raw], y)
+            binary, categorical = score_features(encode(ds), y, DependenceConfig(KernelSpec(kind)))
+            scores.append(binary.score)
+            # a two-category feature's indicators are complements
+            assert len(categorical.subfeature_scores) == 2
+            assert categorical.subfeature_scores[0] == categorical.subfeature_scores[1] > 0, kind
+            assert categorical.argmax == 0
+            assert categorical.score == binary.score, kind
+        # the two-valued closed form is symmetric in the two values, so
+        # both codings give the same bits
         assert scores[0] == scores[1] > 0, kind
 
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairdep import DataError, KernelSpec, center, gram
-from fairdep.kernels import LINEAR, RBF, value_band, value_gram
+from fairdep.kernels import LINEAR, RBF, value_band
 
-from oracles import naive_center, naive_gram
+from oracles import naive_center, naive_gram, value_gram
 
 
 def test_unknown_kernel_kind_rejected():
