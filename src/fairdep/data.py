@@ -13,6 +13,19 @@ Categorical columns may carry a `recode` map (raw value -> category) or,
 for numeric sources, ascending `bins` cut points; intervals are
 half-open on the right, so bins=[25, 60] buckets values as x < 25,
 25 <= x < 60, x >= 60.
+
+`load_dataset` reads the CSV in blocks of `BLOCK_ROWS` records and
+transposes each block into columns, so no Python loop runs per row or
+per cell. Per block and column: the missing test is one pass over the
+stripped cells (a row mask is built only when a marker is present),
+numeric and binned columns are parsed by one float64 conversion of the
+kept cells, and binary, categorical and label cells are coded as
+int32 against a per-column table of distinct raw cells. Once every row
+is read, each distinct cell is stripped, recoded and checked once, and
+a column is its table indexed by its codes. The result and every error
+(type, message and precedence) are those of a row-by-row reader: a
+value error is raised only after the whole file has been read, so an
+earlier bad value never hides a later short row.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,6 +46,8 @@ CATEGORICAL = "categorical"
 COLUMN_KINDS = (NUMERIC, BINARY, CATEGORICAL)
 
 DEFAULT_MISSING = ("", "?", "NA")
+
+BLOCK_ROWS = 1024  # CSV records read and transposed per step of `load_dataset`
 
 
 @dataclass(frozen=True)
@@ -271,7 +288,7 @@ class EncodedDataset:
 def _open_csv(csv_source):
     if hasattr(csv_source, "read"):
         return csv_source, False
-    return open(csv_source, "r", encoding="utf-8", newline=""), True
+    return open(csv_source, "r", encoding="utf-8-sig", newline=""), True
 
 
 def load_dataset(csv_source, schema: Schema) -> Dataset:
@@ -280,6 +297,26 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     Rows with a missing marker in any schema column (features or label)
     are dropped and counted in `dropped_rows`. Cell whitespace is
     stripped before interpretation.
+
+    Records are read in blocks of `BLOCK_ROWS` and transposed. Every
+    per-cell step (the missing mask, the float parse, the coding) is one
+    C-level call per block and column; a block holding a missing marker
+    strips its distinct cells to build the row mask. Strip, recode, the
+    category checks and the label test run once per distinct kept cell of
+    the whole file.
+    Blank records are skipped but keep their place in the row numbers.
+
+    DataError precedence, as in a row-by-row reader:
+      1. an empty file, or a schema column absent from (or repeated in)
+         the header;
+      2. the first short row, by its file-order row number;
+      3. fewer than 2 rows left after dropping missing cells;
+      4. value errors, column by column in schema order, raised only
+         after every row has been read ("non-numeric" names the first bad
+         kept cell in row order);
+      5. label errors.
+
+    Paths are read as UTF-8 with an optional byte-order mark.
     """
     fh, should_close = _open_csv(csv_source)
     try:
@@ -289,50 +326,86 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
         except StopIteration:
             raise DataError("CSV is empty") from None
         header = [h.strip() for h in header]
-        positions = {name: i for i, name in enumerate(header)}
         needed = list(schema.names) + [schema.label]
         for name in needed:
-            if name not in positions:
+            if name not in header:
                 raise DataError(f"unknown column: {name!r} not in CSV header")
+            if header.count(name) > 1:
+                raise DataError(f"duplicate column: {name!r} repeats in CSV header")
+        positions = [header.index(name) for name in needed]
+        fields = [itemgetter(p) for p in positions]
+        width = max(positions) + 1
         missing = set(schema.missing_values)
+        # parsed as float64 per block, or (the label too) coded per distinct cell
+        floats = [col.kind == NUMERIC or col.bins is not None for col in schema.columns] + [False]
+        parts: list[list[np.ndarray]] = [[] for _ in needed]
+        index: list[dict[str, int]] = [{} for _ in needed]  # raw cell -> code
+        errors: list[DataError | None] = [None for _ in needed]
 
-        raw_columns: list[list[str]] = [[] for _ in needed]
-        dropped = 0
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                cells = [row[positions[name]].strip() for name in needed]
-            except IndexError:
-                raise DataError(f"row {row_no}: too few fields") from None
-            if any(cell in missing for cell in cells):
-                dropped += 1
-                continue
-            for store, cell in zip(raw_columns, cells):
-                store.append(cell)
+        row_no, dropped = 2, 0
+        while block := list(islice(reader, BLOCK_ROWS)):
+            lengths = np.fromiter(map(len, block), np.intp, len(block))
+            short = np.flatnonzero((lengths > 0) & (lengths < width))
+            if short.size:
+                raise DataError(f"row {row_no + int(short[0])}: too few fields")
+            row_no += len(block)
+            if not lengths.all():
+                block = list(filter(None, block))  # blank records
+            # transposed one needed column at a time: no row tuples are built
+            columns = [list(map(field, block)) for field in fields]
+            drop = None
+            for cells in columns:
+                if missing.isdisjoint(map(str.strip, cells)):  # the usual case
+                    continue
+                marks = {c for c in set(cells) if c.strip() in missing}
+                hit = np.fromiter(map(marks.__contains__, cells), bool, len(cells))
+                drop = hit if drop is None else drop | hit
+            if drop is not None:
+                dropped += int(np.count_nonzero(drop))
+                keep = (~drop).tolist()
+                columns = [list(compress(cells, keep)) for cells in columns]
+            for j, cells in enumerate(columns):
+                if not floats[j]:
+                    parts[j].append(_code(index[j], cells))
+                elif errors[j] is None:
+                    try:
+                        parts[j].append(_parse_floats(needed[j], cells))
+                    except DataError as exc:
+                        errors[j] = exc
+            # free this block's cells before the next is read; two blocks alive
+            # at once raise the process's peak RSS
+            del block, columns
 
-        n = len(raw_columns[-1])
+        n = sum(map(len, parts[-1]))
         if n < 2:
             raise DataError(f"fewer than 2 rows survive missing-value removal (got {n})")
 
-        features = tuple(
-            _interpret_column(col, raw_columns[i]) for i, col in enumerate(schema.columns)
-        )
-        label_cells = raw_columns[-1]
-        y = np.where(np.asarray(label_cells, dtype=object) == schema.positive, 1, -1).astype(
-            np.int64
-        )
-        if schema.positive not in label_cells:
+        features = []
+        for j, col in enumerate(schema.columns):
+            if errors[j] is not None:
+                raise errors[j]
+            values = np.concatenate(parts[j])
+            parts[j].clear()  # free the blocks before the next column is joined
+            if col.bins is not None:
+                bin_of = np.searchsorted(np.asarray(col.bins), values, side="right")
+                values = np.array(col.categories, dtype=object)[bin_of]
+            elif not floats[j]:
+                table = _interpret_values(col, [cell.strip() for cell in index[j]])
+                values = np.array(table, dtype=object)[values]
+            features.append(values)
+        labels = [cell.strip() for cell in index[-1]]
+        if schema.positive not in labels:
             raise DataError(
                 f"degenerate labels: positive value {schema.positive!r} never observed"
             )
-        if int(np.sum(y == 1)) == n:
+        if all(v == schema.positive for v in labels):
             raise DataError("degenerate labels: only the positive class present")
-        negatives = sorted({cell for cell in label_cells if cell != schema.positive})
+        sign = np.array([1 if v == schema.positive else -1 for v in labels], dtype=np.int64)
+        negatives = sorted({v for v in labels if v != schema.positive})
         return Dataset(
             schema=schema,
-            features=features,
-            y=y,
+            features=tuple(features),
+            y=sign[np.concatenate(parts[-1])],
             dropped_rows=dropped,
             negative_display=negatives[0] if len(negatives) == 1 else None,
         )
@@ -341,31 +414,28 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             fh.close()
 
 
-def _interpret_column(col: Column, cells: list[str]) -> np.ndarray:
-    if col.kind == NUMERIC:
-        return _parse_floats(col.name, cells)
-    if col.bins is not None:
-        values = _parse_floats(col.name, cells)
-        idx = np.searchsorted(np.asarray(col.bins), values, side="right")
-        cats = np.array(col.categories, dtype=object)
-        return cats[idx]
-    out = np.asarray(cells, dtype=object)
+def _code(index: dict[str, int], cells) -> np.ndarray:
+    """int32 codes of the cells, extending `index` with cells it lacks."""
+    for cell in set(cells).difference(index):
+        index[cell] = len(index)
+    return np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
+
+
+def _interpret_values(col: Column, values: list[str]) -> list[str]:
+    """Recode and check a binary or categorical column's distinct values."""
     if col.recode:
-        out = np.array([col.recode.get(v, v) for v in out], dtype=object)
+        values = [col.recode.get(v, v) for v in values]
     if col.kind == CATEGORICAL:
         declared = set(col.categories)
         if col.recode_default is not None:
-            out = np.array(
-                [v if v in declared else col.recode_default for v in out], dtype=object
-            )
-        observed = set(out.tolist())
-        extra = observed - declared
+            values = [v if v in declared else col.recode_default for v in values]
+        extra = set(values) - declared
         if extra:
             raise DataError(
                 f"column {col.name!r}: undeclared category values {sorted(extra)!r}"
             )
     else:  # binary
-        observed = sorted(set(out.tolist()))
+        observed = sorted(set(values))
         if col.categories is not None:
             extra = set(observed) - set(col.categories)
             if extra:
@@ -377,10 +447,20 @@ def _interpret_column(col: Column, cells: list[str]) -> np.ndarray:
                 f"column {col.name!r}: binary column has {len(observed)} distinct "
                 f"values, expected exactly 2"
             )
-    return out
+    return values
 
 
-def _parse_floats(name: str, cells: list[str]) -> np.ndarray:
+def _parse_floats(name: str, cells) -> np.ndarray:
+    """The cells as float64; DataError names the first non-numeric one.
+
+    float() accepts the same surrounding whitespace as str.strip() except
+    the separators \\x1c-\\x1f, so stripped cells are parsed only when the
+    raw ones fail.
+    """
+    try:
+        return np.asarray(cells, dtype=np.float64)
+    except ValueError:
+        cells = list(map(str.strip, cells))
     try:
         return np.asarray(cells, dtype=np.float64)
     except ValueError:

@@ -184,7 +184,9 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     With u, a from `label_direction`, nocco(x, y) = a * quadratic_form(x, u).
     A column with k <= 2 distinct values takes the two-valued closed form
     g (s_0 c_1 - s_1 c_0)^2 / (n (g c_0 c_1 + n^2 eps)) under either
-    kernel (see the module docstring), with no factorization.
+    kernel (see the module docstring), with no factorization; k <= 2 is
+    found from min, max and one equality pass, so only RBF columns with
+    k > 2 are sorted into distinct values.
     Linear kernel: (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x).
     Otherwise, for x's k distinct values with counts c, t the sums of u
     over each value's rows divided by sqrt(c) and w = sqrt(c/n), the form
@@ -199,19 +201,23 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     x, u = _check_pair(kernel_input(x), u)
     n = x.size
     ridge = n * config.epsilon
-    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
-    if values.size == 1:
+    lo, hi = x.min(), x.max()
+    if lo == hi:
         return 0.0
-    if values.size == 2:
-        d = values[1] - values[0]
+    top = x == hi
+    if np.count_nonzero(top | (x == lo)) == n:  # two values, found without a sort
+        d = hi - lo
         g = d * d if config.kernel.kind == LINEAR else -2.0 * np.expm1(-d * d / n)
-        (s0, s1), (c0, c1) = np.bincount(code, u), counts
+        c1 = np.count_nonzero(top)
+        c0 = n - c1
+        s0, s1 = np.bincount(top, u, minlength=2)
         # the integer product c0 * c1 is exact, so swapping the two values
         # changes no rounding and x and a + b - x give the same bits
         return float(g * (s0 * c1 - s1 * c0) ** 2 / (n * (g * (c0 * c1) + n * ridge)))
     if config.kernel.kind == LINEAR:
         z = x - x.mean()
         return float(u @ z) ** 2 / (float(z @ z) + ridge)
+    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
     root = np.sqrt(counts)
     t = np.bincount(code, u) / root
     w = root / np.sqrt(n)

@@ -4,9 +4,18 @@ These deliberately share no code with the package: kernels are built by
 explicit double loops, the centering matrix H is materialized, operators
 use a dense general-purpose inverse, and confusion counts come from a
 per-row conditional loop. Slow and obvious beats fast and clever here.
+`rowwise_load_dataset` is the CSV loader as it was before the block
+loader: one Python pass over the rows, then a per-cell interpretation of
+each column. It builds the package's own `Dataset` and raises its
+`DataError`, so the two loaders' results and errors compare directly.
 """
 
+import csv
+
 import numpy as np
+
+from fairdep.data import BINARY, CATEGORICAL, NUMERIC, Column, Dataset, Schema
+from fairdep.errors import DataError
 
 
 def naive_gram(v, kind):
@@ -148,3 +157,127 @@ def _argsort_cart_tree(X, b, idx, rng, mtry, max_depth):
         stack.append((left[node], rows[goes_left], depth + 1))
         stack.append((right[node], rows[~goes_left], depth + 1))
     return feature, threshold, left, right, value
+
+
+def _open_csv(csv_source):
+    if hasattr(csv_source, "read"):
+        return csv_source, False
+    return open(csv_source, "r", encoding="utf-8", newline=""), True
+
+
+def rowwise_load_dataset(csv_source, schema: Schema) -> Dataset:
+    """Read a headered CSV into a validated Dataset.
+
+    Rows with a missing marker in any schema column (features or label)
+    are dropped and counted in `dropped_rows`. Cell whitespace is
+    stripped before interpretation.
+    """
+    fh, should_close = _open_csv(csv_source)
+    try:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("CSV is empty") from None
+        header = [h.strip() for h in header]
+        positions = {name: i for i, name in enumerate(header)}
+        needed = list(schema.names) + [schema.label]
+        for name in needed:
+            if name not in positions:
+                raise DataError(f"unknown column: {name!r} not in CSV header")
+        missing = set(schema.missing_values)
+
+        raw_columns: list[list[str]] = [[] for _ in needed]
+        dropped = 0
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                cells = [row[positions[name]].strip() for name in needed]
+            except IndexError:
+                raise DataError(f"row {row_no}: too few fields") from None
+            if any(cell in missing for cell in cells):
+                dropped += 1
+                continue
+            for store, cell in zip(raw_columns, cells):
+                store.append(cell)
+
+        n = len(raw_columns[-1])
+        if n < 2:
+            raise DataError(f"fewer than 2 rows survive missing-value removal (got {n})")
+
+        features = tuple(
+            _interpret_column(col, raw_columns[i]) for i, col in enumerate(schema.columns)
+        )
+        label_cells = raw_columns[-1]
+        y = np.where(np.asarray(label_cells, dtype=object) == schema.positive, 1, -1).astype(
+            np.int64
+        )
+        if schema.positive not in label_cells:
+            raise DataError(
+                f"degenerate labels: positive value {schema.positive!r} never observed"
+            )
+        if int(np.sum(y == 1)) == n:
+            raise DataError("degenerate labels: only the positive class present")
+        negatives = sorted({cell for cell in label_cells if cell != schema.positive})
+        return Dataset(
+            schema=schema,
+            features=features,
+            y=y,
+            dropped_rows=dropped,
+            negative_display=negatives[0] if len(negatives) == 1 else None,
+        )
+    finally:
+        if should_close:
+            fh.close()
+
+
+def _interpret_column(col: Column, cells: list[str]) -> np.ndarray:
+    if col.kind == NUMERIC:
+        return _parse_floats(col.name, cells)
+    if col.bins is not None:
+        values = _parse_floats(col.name, cells)
+        idx = np.searchsorted(np.asarray(col.bins), values, side="right")
+        cats = np.array(col.categories, dtype=object)
+        return cats[idx]
+    out = np.asarray(cells, dtype=object)
+    if col.recode:
+        out = np.array([col.recode.get(v, v) for v in out], dtype=object)
+    if col.kind == CATEGORICAL:
+        declared = set(col.categories)
+        if col.recode_default is not None:
+            out = np.array(
+                [v if v in declared else col.recode_default for v in out], dtype=object
+            )
+        observed = set(out.tolist())
+        extra = observed - declared
+        if extra:
+            raise DataError(
+                f"column {col.name!r}: undeclared category values {sorted(extra)!r}"
+            )
+    else:  # binary
+        observed = sorted(set(out.tolist()))
+        if col.categories is not None:
+            extra = set(observed) - set(col.categories)
+            if extra:
+                raise DataError(
+                    f"column {col.name!r}: values {sorted(extra)!r} outside declared pair"
+                )
+        elif len(observed) != 2:
+            raise DataError(
+                f"column {col.name!r}: binary column has {len(observed)} distinct "
+                f"values, expected exactly 2"
+            )
+    return out
+
+
+def _parse_floats(name: str, cells: list[str]) -> np.ndarray:
+    try:
+        return np.asarray(cells, dtype=np.float64)
+    except ValueError:
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"column {name!r}: non-numeric value {cell!r}") from None
+        raise

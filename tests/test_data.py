@@ -1,10 +1,16 @@
+import csv
 import io
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdep import Column, DataError, Schema, SchemaError, encode, load_dataset
+from fairdep import data
 from fairdep.data import (
     binary_pair,
     dataset_from_arrays,
@@ -13,6 +19,7 @@ from fairdep.data import (
 )
 
 from conftest import TOY_EXTENDED
+from oracles import rowwise_load_dataset
 
 
 # ---------------------------------------------------------------- schema
@@ -141,6 +148,152 @@ def test_binary_column_requires_two_observed_values():
     schema = Schema(columns=(Column("b", "binary"),), label="y", positive="1")
     with pytest.raises(DataError, match="distinct"):
         load_dataset(io.StringIO("b,y\nx,1\nx,0\n"), schema)
+
+
+def test_load_path_with_byte_order_mark(tmp_path, toy_schema):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfgender,ncrimes,age,recid\nmale,2,30-60,yes\nfemale,0,<30,no\n")
+    ds = load_dataset(path, toy_schema)
+    assert ds.features[0].tolist() == ["male", "female"]
+
+
+def test_load_rejects_repeated_header_column(toy_schema):
+    csv_text = "gender,ncrimes,age,recid,gender\nmale,2,30-60,yes,female\nfemale,0,<30,no,male\n"
+    with pytest.raises(DataError, match="duplicate column: 'gender'"):
+        load_dataset(io.StringIO(csv_text), toy_schema)
+
+
+def test_short_row_outranks_an_earlier_value_error(monkeypatch, toy_schema):
+    # the bad count sits in the first block and the short row in a later one
+    monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+    csv_text = "gender,ncrimes,age,recid\nmale,many,30-60,yes\nfemale,0,<30,no\n\nmale,1\n"
+    with pytest.raises(DataError, match="row 5: too few fields"):
+        load_dataset(io.StringIO(csv_text), toy_schema)
+
+
+# Every column form the loader interprets: each with clean cells and odd
+# ones (padding, padded missing markers, recodes, undeclared values, text
+# that needs quoting). Clean cells are drawn more often, so that most
+# cases load and the rest fail in every documented way.
+_DIFF_COLUMNS = {
+    "num": (Column("num", "numeric"),
+            ["1", "2.5", "-0", "1e3"], [" 3 ", "nan", "\x1c4", "abc", "", "?", " NA "]),
+    "cat": (Column("cat", "categorical", categories=("a", "b", "c"), recode={"x": "a", "y": "b"}),
+            ["a", "b", "c", "x"], [" a ", "y ", "z", "a,b", "?"]),
+    "dflt": (Column("dflt", "categorical", categories=("p", "q", "other"), recode={"r": "p"},
+                    recode_default="other"),
+             ["p", "q", "r", "other"], [" s", "t\nu", " ? "]),
+    "age": (Column("age", "categorical", categories=("lo", "mid", "hi"), bins=(10, 20)),
+            ["5", "10", "20", "25"], [" 15", "x", ""]),
+    "bin": (Column("bin", "binary"), ["u", "v"], [" v ", "w", "NA"]),
+    "pair": (Column("pair", "binary", categories=("f", "m")), ["f", "m"], [" m", "g", "?"]),
+    "y": (None, ["1", "0"], [" 0 ", "1 ", "2", "?", ""]),
+    "extra": (None, ["e"], ["", "x,y", 'say "hi"', "two\nlines"]),
+}
+_FEATURES = sorted(name for name, (col, _, _) in _DIFF_COLUMNS.items() if col is not None)
+
+
+def _cell(name):
+    _, clean, odd = _DIFF_COLUMNS[name]
+    return st.sampled_from(clean * 4 + odd)
+
+
+@st.composite
+def _csv_case(draw):
+    names = draw(st.lists(st.sampled_from(_FEATURES), min_size=1, unique=True))
+    schema = Schema(
+        columns=tuple(_DIFF_COLUMNS[name][0] for name in names),
+        label="y",
+        positive=draw(st.sampled_from(["1", "0"])),
+    )
+    header = draw(st.permutations(names + ["y"] + draw(st.sampled_from([[], ["extra"]]))))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        shape = draw(st.sampled_from(["full"] * 40 + ["blank", "trailing"] * 2 + ["short"]))
+        row = [draw(_cell(name)) for name in header]
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "trailing":
+            row += draw(st.lists(_cell("extra"), min_size=1, max_size=2))
+        rows.append(row)
+    out = io.StringIO()
+    writer = csv.writer(
+        out, lineterminator="\n", quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    )
+    writer.writerow([draw(st.sampled_from([h, f" {h} "])) for h in header])
+    writer.writerows(rows)
+    return schema, out.getvalue()
+
+
+def _load_outcome(loader, text, schema):
+    try:
+        return loader(io.StringIO(text), schema)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_same_dataset(got, want):
+    assert (got.schema, got.dropped_rows, got.negative_display) == (
+        want.schema, want.dropped_rows, want.negative_display,
+    )
+    assert got.y.dtype == want.y.dtype and got.y.tolist() == want.y.tolist()
+    for a, b in zip(got.features, want.features, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        if a.dtype == object:
+            assert a.tolist() == b.tolist()
+            assert all(type(v) is str for v in a.tolist())
+        else:
+            assert a.tobytes() == b.tobytes()  # float bits, NaN and -0.0 included
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_case(), block=st.sampled_from([2, 3]))
+def test_block_loader_matches_rowwise_reference(case, block):
+    schema, text = case
+    want = _load_outcome(rowwise_load_dataset, text, schema)
+    with mock.patch.object(data, "BLOCK_ROWS", block):
+        got = _load_outcome(load_dataset, text, schema)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        _assert_same_dataset(got, want)
+
+
+def test_load_peak_memory_per_kept_cell(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 20_000
+    schema = Schema(
+        columns=(
+            Column("age", "numeric"),
+            Column("hours", "numeric"),
+            Column("job", "categorical", categories=("a", "b", "c", "d")),
+            Column("sex", "binary"),
+        ),
+        label="y",
+        positive=">50K",
+    )
+    columns = [
+        rng.integers(17, 90, n).astype(str),
+        np.round(rng.uniform(1, 99, n), 2).astype(str),
+        rng.choice(["a", "b", "c", "d", "?"], n, p=[0.3, 0.3, 0.2, 0.15, 0.05]),
+        rng.choice(["Male", "Female"], n),
+        rng.choice([">50K", "<=50K"], n),
+    ]
+    path = tmp_path / "wide.csv"
+    lines = ["age,hours,job,sex,y"] + [",".join(row) for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept_cells = ds.n * (ds.m + 1)
+    assert ds.dropped_rows > 0
+    assert peak / kept_cells <= 32.0
 
 
 # --------------------------------------------------------------- encode

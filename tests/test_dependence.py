@@ -331,6 +331,47 @@ def test_two_valued_columns_need_no_factor(monkeypatch):
     assert quadratic_form(np.full(n, 2.5), u, GAUSS) == 0.0
 
 
+def _sorted_two_valued_form(x, u, cfg):
+    """The two-valued form from the sorted distinct values, counts and codes."""
+    n = x.size
+    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
+    d = values[1] - values[0]
+    g = d * d if cfg.kernel.kind == LINEAR else -2.0 * np.expm1(-d * d / n)
+    (s0, s1), (c0, c1) = np.bincount(code, u), counts
+    return float(g * (s0 * c1 - s1 * c0) ** 2 / (n * (g * (c0 * c1) + n * n * cfg.epsilon)))
+
+
+def test_two_valued_and_linear_columns_need_no_sort(monkeypatch):
+    rng = np.random.default_rng(19)
+    n = 300
+    u, _ = label_direction(np.where(rng.random(n) < 0.4, 1.0, -1.0), GAUSS)
+    pairs = [
+        np.where(rng.random(n) < 0.3, 1.0, 0.0),
+        np.where(rng.random(n) < 0.6, 9.6e5, -3.5),
+        np.where(rng.random(n) < 0.5, -0.0, 2.0) * np.where(rng.random(n) < 0.5, 1.0, 0.0),
+    ]
+    many = rng.integers(0, 7, n).astype(float)
+    want = {
+        (i, cfg.kernel.kind): _sorted_two_valued_form(x, u, cfg)
+        for i, x in enumerate(pairs)
+        for cfg in (GAUSS, LIN)
+    }
+    z = many - many.mean()
+    want_many = float(u @ z) ** 2 / (float(z @ z) + n * EPS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("k <= 2 and linear columns are scored without np.unique")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    for i, x in enumerate(pairs):
+        for cfg in (GAUSS, LIN):
+            assert quadratic_form(x, u, cfg) == want[i, cfg.kernel.kind], (i, cfg.kernel.kind)
+    assert quadratic_form(many, u, LIN) == want_many
+    assert quadratic_form(np.full(n, 4.0), u, LIN) == 0.0
+    with pytest.raises(AssertionError, match="np.unique"):
+        quadratic_form(many, u, GAUSS)  # k > 2 under the RBF still needs the distinct values
+
+
 @pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])
 def test_label_scoring_memory_is_linear_in_n(cfg):
     # value-space scoring holds O(n + k kd) bytes; a dense n x n Gram
