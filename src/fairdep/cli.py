@@ -120,10 +120,10 @@ def _parse_planted(raw: str) -> tuple[PlantedFeature, ...]:
 
 def _load(args) -> tuple:
     schema_path = Path(args.schema)
-    if not schema_path.exists():
+    if not schema_path.is_file():
         raise SchemaError(f"schema file not found: {schema_path}")
     data_path = Path(args.data)
-    if not data_path.exists():
+    if not data_path.is_file():
         raise SchemaError(f"data file not found: {data_path}")
     schema = Schema.from_json(schema_path)
     dataset = load_dataset(data_path, schema)

@@ -309,22 +309,25 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     DataError precedence, as in a row-by-row reader:
       1. an empty file, or a schema column absent from (or repeated in)
          the header;
-      2. the first short row, by its file-order row number;
+      2. the first short or malformed row (such as a field longer than
+         `csv.field_size_limit()`), by its file-order row number;
       3. fewer than 2 rows left after dropping missing cells;
       4. value errors, column by column in schema order, raised only
          after every row has been read ("non-numeric" names the first bad
          kept cell in row order);
       5. label errors.
 
-    Paths are read as UTF-8 with an optional byte-order mark.
+    Paths are read as UTF-8 with an optional byte-order mark; a byte that
+    does not decode raises DataError naming its offset in the file.
     """
     fh, should_close = _open_csv(csv_source)
     try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("CSV is empty") from None
+        bad: list[csv.Error] = []
+        reader = _records(fh, bad)
+        header = next(reader, None)
+        if header is None:
+            _raise_malformed(1, bad)
+            raise DataError("CSV is empty")
         header = [h.strip() for h in header]
         needed = list(schema.names) + [schema.label]
         for name in needed:
@@ -375,6 +378,7 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             # free this block's cells before the next is read; two blocks alive
             # at once raise the process's peak RSS
             del block, columns
+        _raise_malformed(row_no, bad)
 
         n = sum(map(len, parts[-1]))
         if n < 2:
@@ -409,9 +413,31 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             dropped_rows=dropped,
             negative_display=negatives[0] if len(negatives) == 1 else None,
         )
+    except UnicodeDecodeError as exc:
+        # the text layer decodes the bytes in chunks, and exc.object is the
+        # chunk holding the bad byte, which ends where the byte stream stands
+        offset = fh.buffer.tell() - len(exc.object) + exc.start
+        raise DataError(f"byte {offset}: not valid UTF-8 ({exc.reason})") from None
     finally:
         if should_close:
             fh.close()
+
+
+def _records(fh, bad: list):
+    """The CSV records of `fh`; a malformed one ends them, its csv.Error put in `bad`.
+
+    The records before it are still yielded, so a short row among them
+    raises first.
+    """
+    try:
+        yield from csv.reader(fh)
+    except csv.Error as exc:
+        bad.append(exc)
+
+
+def _raise_malformed(row_no: int, bad: list) -> None:
+    if bad:
+        raise DataError(f"row {row_no}: malformed CSV record: {bad[0]}")
 
 
 def _code(index: dict[str, int], cells) -> np.ndarray:
@@ -561,7 +587,7 @@ def standardize_numeric(encoded: EncodedDataset) -> EncodedDataset:
 
 
 def dataset_from_arrays(
-    schema: Schema, features, y, dropped_rows: int = 0, negative_display: str | None = None
+    schema: Schema, features, y, negative_display: str | None = None
 ) -> Dataset:
     """Build a Dataset directly from in-memory columns (synthetic data)."""
     cols = tuple(np.asarray(col) for col in features)
@@ -569,7 +595,6 @@ def dataset_from_arrays(
         schema=schema,
         features=cols,
         y=np.asarray(y, dtype=np.int64),
-        dropped_rows=dropped_rows,
         negative_display=negative_display,
     )
 

@@ -1,10 +1,11 @@
 """Random forest for binary labels, built on CART trees with Gini splits.
 
-Kept dependency-free on purpose: trees are grown greedily to purity
-(unless capped), each on a bootstrap resample, examining a random subset
-of floor(sqrt(m)) features per split. Prediction is a majority vote over
-trees; vote ties fall to the negative class. Everything is a pure
-function of (data, config.seed), so refits reproduce bit-identically.
+Kept dependency-free on purpose. The protocol is fixed (Breiman 2001):
+each tree is grown greedily to purity on a bootstrap resample of the n
+rows, drawing floor(sqrt(m)) of the m features at every split.
+Prediction is a majority vote over trees; vote ties fall to the negative
+class. Everything is a pure function of (data, config.seed), so refits
+reproduce bit-identically.
 
 `RandomForest.fit` codes the columns once per forest, and each split
 takes one of two routes by the column's distinct values (see
@@ -27,24 +28,14 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """Tree count and seed: all of the fixed protocol that a caller sets."""
+
     n_trees: int = 100
-    max_depth: int | None = None
-    max_features: int | str = "sqrt"  # "sqrt", "all", or an int
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
-        if isinstance(self.max_features, str) and self.max_features not in ("sqrt", "all"):
-            raise ValueError(f"max_features must be 'sqrt', 'all', or int, got {self.max_features!r}")
-
-    def features_per_split(self, m: int) -> int:
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(m)))
-        if self.max_features == "all":
-            return m
-        return min(max(int(self.max_features), 1), m)
 
 
 class _Tree:
@@ -67,16 +58,14 @@ class _Tree:
         self.value.append(value)
         return len(self.feature) - 1
 
-    def fit(self, cols: _Columns, idx, rng, mtry: int, max_depth: int | None):
+    def fit(self, cols: _Columns, idx, rng, mtry: int):
         pos = int(cols.b[idx].sum())
         root = self._new_node(_majority(pos, idx.size))
-        stack = [(root, idx, pos, 0)]
+        stack = [(root, idx, pos)]
         while stack:
-            node, rows, pos, depth = stack.pop()
+            node, rows, pos = stack.pop()
             k = rows.size
             if pos == 0 or pos == k or k < 2:
-                continue
-            if max_depth is not None and depth >= max_depth:
                 continue
             feats = rng.choice(cols.m, size=mtry, replace=False)
             split = _best_split(cols, rows, pos, feats)
@@ -90,8 +79,8 @@ class _Tree:
             right = self._new_node(_majority(right_pos, right_rows.size))
             self.left[node] = left
             self.right[node] = right
-            stack.append((left, left_rows, left_pos, depth + 1))
-            stack.append((right, right_rows, right_pos, depth + 1))
+            stack.append((left, left_rows, left_pos))
+            stack.append((right, right_rows, right_pos))
 
     def predict(self, X) -> np.ndarray:
         feature = np.asarray(self.feature)
@@ -238,13 +227,12 @@ class RandomForest:
             raise ValueError("X contains NaN")
         n, m = X.shape
         cols = _Columns(X, (y == 1).astype(np.int64))
-        mtry = self.config.features_per_split(m)
+        mtry = max(1, int(np.sqrt(m)))
         self.trees = []
         for child in np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(child)
-            idx = rng.integers(0, n, size=n) if self.config.bootstrap else np.arange(n)
             tree = _Tree()
-            tree.fit(cols, idx, rng, mtry, self.config.max_depth)
+            tree.fit(cols, rng.integers(0, n, size=n), rng, mtry)
             self.trees.append(tree)
         return self
 

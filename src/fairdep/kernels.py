@@ -93,8 +93,7 @@ def value_band(values, n: int, scale) -> np.ndarray:
     def windows(a):
         # read-only view with windows(a)[j, d] = a[j + d], padded past the end with a[-1]
         padded = np.concatenate([a, np.full(kd, a[-1])])
-        step = padded.strides[0]
-        return np.lib.stride_tricks.as_strided(padded, (k, kd + 1), (step, step), writeable=False)
+        return np.lib.stride_tricks.sliding_window_view(padded, kd + 1)
 
     ab = np.empty((kd + 1, k), order="F")
     lower = ab.T  # C-ordered view, lower[j, d] = ab[d, j]

@@ -227,6 +227,12 @@ def validate(
     ones; the point is the full dependence-to-disparity scatter. With
     `exclude_sensitive`, the columns of detected sensitive features are
     hidden from the classifier (the fairness split still uses them).
+
+    The classifier is `RandomForest` under its one protocol (bootstrap
+    resamples, floor(sqrt(m)) features per split, trees grown to
+    purity); only `forest.n_trees` and `forest.seed` vary. The config's
+    "forest" record states that protocol as `max_depth` null,
+    `max_features` "sqrt" and `bootstrap` true.
     """
     y = np.asarray(y).ravel()
     train_matrix = encoded.matrix
@@ -287,9 +293,9 @@ def validate(
         "folds": folds,
         "forest": {
             "n_trees": forest.n_trees,
-            "max_depth": forest.max_depth,
-            "max_features": forest.max_features,
-            "bootstrap": forest.bootstrap,
+            "max_depth": None,
+            "max_features": "sqrt",
+            "bootstrap": True,
             "seed": forest.seed,
         },
         "cv_seed": seed,
@@ -353,18 +359,16 @@ def _flip_gap(fs, other_argmax: int) -> float:
     return (top - other) / top
 
 
-def kernel_consistency(
-    encoded: EncodedDataset,
-    y,
-    epsilon: float = 1e-6,
-    threshold: float | str = "median",
-) -> KernelConsistency:
-    """Score under both kernels and compare rankings and detected sets."""
+def kernel_consistency(encoded: EncodedDataset, y) -> KernelConsistency:
+    """Score under both kernels and compare rankings and detected sets.
+
+    Each kernel scores with the default `DependenceConfig` (epsilon 1e-6)
+    and flags by the median rule, as `fairdep audit` does by default.
+    """
     reports = {}
     for kind in (RBF, LINEAR):
-        cfg = DependenceConfig(KernelSpec(kind), epsilon)
-        scores = score_features(encoded, y, cfg)
-        reports[kind] = detect(scores, threshold=threshold, config={"kernel": kind})
+        scores = score_features(encoded, y, DependenceConfig(KernelSpec(kind)))
+        reports[kind] = detect(scores, config={"kernel": kind})
     r_rbf, r_lin = reports[RBF], reports[LINEAR]
     d_rbf = [fs.score for fs in r_rbf.scores]
     d_lin = [fs.score for fs in r_lin.scores]

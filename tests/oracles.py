@@ -11,6 +11,7 @@ each column. It builds the package's own `Dataset` and raises its
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -82,12 +83,14 @@ def brute_force_group_confusion(predictions, labels, group):
     return cells
 
 
-def argsort_cart_forest(X, y, n_trees, seed, mtry, max_depth=None, bootstrap=True):
+def argsort_cart_forest(X, y, n_trees, seed):
     """Random forest of Gini CART trees, every split found by sorting.
 
-    Each node sorts each drawn feature (stable `argsort`), scores every
-    cut between unequal neighbours from a cumulative label sum, keeps the
-    first minimum, compares features in draw order with strict `<`, and
+    Breiman's protocol: each tree grows to purity on a bootstrap resample
+    and draws floor(sqrt(m)) of the m features at every node. Each node
+    sorts each drawn feature (stable `argsort`), scores every cut between
+    unequal neighbours from a cumulative label sum, keeps the first
+    minimum, compares features in draw order with strict `<`, and
     partitions with `x <= threshold`. The random draws (one child seed
     per tree, a bootstrap resample, one `choice` per node, depth first
     with the right child popped first) follow `RandomForest.fit`, so the
@@ -97,15 +100,16 @@ def argsort_cart_forest(X, y, n_trees, seed, mtry, max_depth=None, bootstrap=Tru
     X = np.asarray(X, dtype=np.float64)
     b = (np.asarray(y).ravel() == 1).astype(np.int64)
     n, m = X.shape
+    mtry = math.isqrt(m)
     trees = []
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_argsort_cart_tree(X, b, idx, rng, mtry, max_depth))
+        idx = rng.integers(0, n, size=n)
+        trees.append(_argsort_cart_tree(X, b, idx, rng, mtry))
     return trees
 
 
-def _argsort_cart_tree(X, b, idx, rng, mtry, max_depth):
+def _argsort_cart_tree(X, b, idx, rng, mtry):
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node(rows):
@@ -116,14 +120,12 @@ def _argsort_cart_tree(X, b, idx, rng, mtry, max_depth):
         value.append(int(b[rows].sum() * 2 > rows.size))  # ties fall to 0
         return len(feature) - 1
 
-    stack = [(new_node(idx), idx, 0)]
+    stack = [(new_node(idx), idx)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows = stack.pop()
         k = rows.size
         pos = int(b[rows].sum())
         if pos == 0 or pos == k or k < 2:
-            continue
-        if max_depth is not None and depth >= max_depth:
             continue
         feats = rng.choice(X.shape[1], size=mtry, replace=False)
         best_cost, best = np.inf, None
@@ -154,8 +156,8 @@ def _argsort_cart_tree(X, b, idx, rng, mtry, max_depth):
         feature[node], threshold[node] = f, thr
         left[node] = new_node(rows[goes_left])
         right[node] = new_node(rows[~goes_left])
-        stack.append((left[node], rows[goes_left], depth + 1))
-        stack.append((right[node], rows[~goes_left], depth + 1))
+        stack.append((left[node], rows[goes_left]))
+        stack.append((right[node], rows[~goes_left]))
     return feature, threshold, left, right, value
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairdep.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -274,3 +278,83 @@ def test_linear_audit_of_large_magnitude_columns_succeeds(tmp_path):
     assert code == EXIT_OK
     doc = json.loads((out / "report.json").read_text())
     assert all(0.0 <= fs["d"] <= 1.0 for fs in doc["scores"])
+
+
+def test_directory_path_is_config_error(tmp_path, synth_files, capsys):
+    data, schema_path = synth_files
+    for data_arg, schema_arg in ((tmp_path, schema_path), (data, tmp_path)):
+        argv = ["audit", "--data", str(data_arg), "--schema", str(schema_arg), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "file not found" in capsys.readouterr().err
+
+
+def test_malformed_csv_record_is_data_error(tmp_path, toy_files, capsys):
+    # a quoted field over csv.field_size_limit() (131,072 characters)
+    _, schema_path = toy_files
+    huge = '"' + "x" * 200_000 + '"'
+    for body, message in (
+        (f"male,2,30-60,yes\n{huge},0,<30,no\n", "row 3: malformed CSV record"),
+        # a short row earlier in the same block still raises first
+        (f"male,2,30-60,yes\nfemale,0\n{huge},0,<30,no\n", "row 3: too few fields"),
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("gender,ncrimes,age,recid\n" + body, encoding="utf-8")
+        code = main(["audit", "--data", str(bad), "--schema", str(schema_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
+def test_undecodable_csv_byte_is_data_error(tmp_path, toy_files, capsys):
+    _, schema_path = toy_files
+    head = b"gender,ncrimes,age,recid\n" + b"male,2,30-60,yes\nfemale,0,<30,no\n" * 400
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(head + b"f\xe9male,1,>60,no\n")  # Latin-1 e-acute past the first 8 KiB
+    code = main(["audit", "--data", str(bad), "--schema", str(schema_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert f"byte {len(head) + 1}: not valid UTF-8" in capsys.readouterr().err
+
+
+# --------------------------------------- every command on real-shaped files
+
+
+@pytest.fixture(scope="module")
+def shaped_files(tmp_path_factory):
+    """600-row Adult- and Taiwan-credit-shaped CSVs with their shipped schemas."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import gen
+
+    tmp = tmp_path_factory.mktemp("shaped")
+    files = {}
+    for shape, write in (("adult", gen.write_adult), ("taiwan", gen.write_taiwan)):
+        truth = write(tmp / f"{shape}.csv", 1, n=600)
+        files[shape] = (tmp / f"{shape}.csv", REPO / "data" / "schemas" / truth["schema"])
+    return files
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardize"])
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+@pytest.mark.parametrize("command", ["audit", "validate"])
+@pytest.mark.parametrize("shape", ["adult", "taiwan"])
+def test_commands_on_shaped_files(tmp_path, shaped_files, shape, command, kernel, standardize):
+    import checks
+
+    data, schema_path = shaped_files[shape]
+    argv = [command, "--data", str(data), "--schema", str(schema_path), "--kernel", kernel]
+    argv += ["--out", str(tmp_path)] + (["--standardize"] if standardize else [])
+    if command == "validate":
+        argv += ["--trees", "5", "--folds", "3"]
+    assert main(argv) == EXIT_OK
+    assert checks.check_report(json.loads((tmp_path / "report.json").read_text())) == []
+
+
+@pytest.mark.parametrize("shape", ["adult", "taiwan"])
+def test_encode_on_shaped_files(tmp_path, shaped_files, shape):
+    from fairdep import Schema, encode, load_dataset
+
+    data, schema_path = shaped_files[shape]
+    assert main(["encode", "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "encoded.csv") as fh:
+        rows = list(csv.reader(fh))
+    encoded = encode(load_dataset(data, Schema.from_json(schema_path)))
+    assert len(rows) == encoded.n + 1
+    assert {len(row) for row in rows} == {encoded.width + 1}

@@ -28,17 +28,6 @@ def planted_problem(n, seed, flip=0.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
-    with pytest.raises(ValueError):
-        ForestConfig(max_features="half")
-
-
-def test_features_per_split():
-    cfg = ForestConfig()
-    assert cfg.features_per_split(9) == 3
-    assert cfg.features_per_split(10) == 3
-    assert cfg.features_per_split(1) == 1
-    assert ForestConfig(max_features="all").features_per_split(7) == 7
-    assert ForestConfig(max_features=2).features_per_split(7) == 2
 
 
 def test_single_class_training_rejected():
@@ -95,12 +84,6 @@ def test_predict_before_fit_rejected():
         RandomForest().predict(np.ones((3, 2)))
 
 
-def test_max_depth_limits_tree():
-    X, y = planted_problem(300, seed=9, flip=0.3)
-    shallow = RandomForest(ForestConfig(n_trees=10, max_depth=1, seed=0)).fit(X, y)
-    assert max(len(t.feature) for t in shallow.trees) <= 3  # root + two leaves
-
-
 def test_nan_input_rejected():
     X, y = planted_problem(50, seed=10)
     X[3, 1] = np.nan
@@ -122,10 +105,12 @@ def _tree_arrays(tree):
 
 
 def test_trees_and_cv_predictions_match_golden_hashes():
-    # SHA-256 of the argsort CART's output, captured before the two-valued
-    # count route existed: the trees of the planted problems above, and the
-    # out-of-fold predictions on the validation suite as `fairdep validate
-    # --kernel linear` encodes it, under the default forest
+    # SHA-256 of the argsort CART's output under the default forest: the
+    # trees of the planted problems above, and the out-of-fold predictions
+    # on the validation suite as `fairdep validate --kernel linear` encodes
+    # it. The prediction hash predates the two-valued count route; the tree
+    # hash was taken from a forest checked node for node against the
+    # argsort CART.
     digest = hashlib.sha256()
     for (n, seed, flip), config in [
         ((400, 1, 0.0), ForestConfig(n_trees=100, seed=0)),
@@ -133,13 +118,12 @@ def test_trees_and_cv_predictions_match_golden_hashes():
         ((300, 6, 0.35), ForestConfig(n_trees=15, seed=0)),
         ((300, 6, 0.35), ForestConfig(n_trees=15, seed=1)),
         ((200, 8, 0.1), ForestConfig(n_trees=9, seed=2)),
-        ((300, 9, 0.3), ForestConfig(n_trees=10, max_depth=1, seed=0)),
     ]:
         X, y = planted_problem(n, seed, flip)
         for tree in RandomForest(config).fit(X, y).trees:
             for array in _tree_arrays(tree):
                 digest.update(array.tobytes())
-    assert digest.hexdigest() == "3b7c497fdc3ed704dc660f7cf71e6319ce381cbee31457ca2586ce01e13061ec"
+    assert digest.hexdigest() == "c03c8f080f84fdecdeb199b26c3aa5b008b64007209725e7fe895594507d7573"
 
     dataset, _ = generate(default_validation_spec(7))
     encoded, y, _ = audit_dataset(dataset, DependenceConfig(KernelSpec(LINEAR)))
@@ -175,10 +159,7 @@ def mixed_problem(n, seed):
 
 def _assert_trees_match_reference(X, y, config):
     forest = RandomForest(config).fit(X, y)
-    mtry = config.features_per_split(X.shape[1])
-    reference = argsort_cart_forest(
-        X, y, config.n_trees, config.seed, mtry, config.max_depth, config.bootstrap
-    )
+    reference = argsort_cart_forest(X, y, config.n_trees, config.seed)
     assert len(forest.trees) == len(reference)
     for tree, expected in zip(forest.trees, reference):
         for got, want in zip(_tree_arrays(tree), expected):
@@ -186,23 +167,13 @@ def _assert_trees_match_reference(X, y, config):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 150),
-    seed=st.integers(0, 2**32 - 1),
-    max_features=st.sampled_from([1, 2, 3, "sqrt", "all"]),
-    max_depth=st.sampled_from([None, 1, 3]),
-    bootstrap=st.booleans(),
-)
-def test_trees_match_argsort_reference(n, seed, max_features, max_depth, bootstrap):
+@given(n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 11))
+def test_trees_match_argsort_reference(n, seed, m):
+    # the first m columns: 1-3 columns draw one feature per split, 4-8 two, 9-11 three
     X, y = mixed_problem(n, seed)
-    config = ForestConfig(
-        n_trees=4, max_depth=max_depth, max_features=max_features, bootstrap=bootstrap, seed=seed
-    )
-    _assert_trees_match_reference(X, y, config)
+    _assert_trees_match_reference(X[:, :m], y, ForestConfig(n_trees=4, seed=seed))
 
 
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_deep_trees_match_argsort_reference(bootstrap):
+def test_deep_trees_match_argsort_reference():
     X, y = mixed_problem(1500, seed=21)
-    config = ForestConfig(n_trees=6, max_features=3, bootstrap=bootstrap, seed=4)
-    _assert_trees_match_reference(X, y, config)
+    _assert_trees_match_reference(X, y, ForestConfig(n_trees=6, seed=4))
