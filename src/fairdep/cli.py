@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,9 +95,12 @@ def _parse_threshold(raw: str):
     if raw == "median":
         return "median"
     try:
-        return float(raw)
+        t = float(raw)
+        if math.isfinite(t):
+            return t
     except ValueError:
-        raise SchemaError(f"--threshold must be 'median' or a number, got {raw!r}") from None
+        pass
+    raise SchemaError(f"--threshold must be 'median' or a finite number, got {raw!r}")
 
 
 def _parse_planted(raw: str) -> tuple[PlantedFeature, ...]:

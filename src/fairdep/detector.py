@@ -187,8 +187,9 @@ def detect(
 
     With `threshold="median"` the cut t is the median over all m feature
     scores (candidates and non-candidates alike); a float fixes t
-    directly. A candidate feature is sensitive iff its score is >= t,
-    and its top-scoring subfeature becomes the sensitive group.
+    directly and must be finite. A candidate feature is sensitive iff its
+    score is >= t, and its top-scoring subfeature becomes the sensitive
+    group.
     """
     scores = tuple(scores)
     if not scores:
@@ -201,6 +202,8 @@ def detect(
         mode = "median"
     else:
         t = float(threshold)
+        if not np.isfinite(t):
+            raise ValueError(f"a fixed threshold must be finite, got {threshold!r}")
         mode = "fixed"
     selected = [fs for fs in scores if fs.candidate and fs.score >= t]
     echo = dict(config or {})

@@ -9,10 +9,14 @@ The RBF exponent is scaled by 1/n with n the sample count; there is no
 free bandwidth parameter. Kernels are always evaluated per column, never
 on a whole matrix. `gram` gives the n x n matrix over a column's rows.
 `value_band` gives the band of the scaled RBF Gram over a column's k
-distinct values, at the same bandwidth n, outside which every entry
-underflows to exactly 0.0; the detector works from that band.
+distinct values, at the same bandwidth n, cut where its entries can no
+longer change a score in double precision: pairs of values within
+sqrt(s n), with s = min(ln(sqrt(n) / (2^-53 eps)), 746) for the ridge
+eps. Everything outside is at most e^-s times the scale, and together it
+moves a score by at most about 1.1e-16; the detector works from that band.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +76,7 @@ def gram(values, spec: KernelSpec = KernelSpec()) -> np.ndarray:
     return _rbf(np.subtract.outer(v, v, out=K), v.size)
 
 
-def value_band(values, n: int, scale) -> np.ndarray:
+def value_band(values, n: int, scale, epsilon: float) -> np.ndarray:
     """Lower band of diag(scale) K diag(scale), K the RBF Gram of sorted distinct values.
 
     In LAPACK lower band storage: a Fortran-ordered (kd+1) x k array whose
@@ -80,14 +84,24 @@ def value_band(values, n: int, scale) -> np.ndarray:
     for rows r, s holding values j + d and j (same formula, same operand
     order, so bit for bit) times scale[j + d] * scale[j]; entries [d, j]
     with j + d >= k are padding. kd is the largest number of values
-    within sqrt(746 n) above any value; values further apart have an
-    exponent beyond RBF_UNDERFLOW, so every entry outside the band is
-    exactly 0.0 and the band equals the matrix. Builds no k x k array.
+    within sqrt(s n) above any value, with s = ln(sqrt(n) / (2^-53 eps))
+    (54.4 at n = 2000, eps = 1e-6; taken in logs, so a tiny eps cannot
+    overflow) capped at RBF_UNDERFLOW and raised to 0 if negative. Builds
+    no k x k array.
+
+    What the band drops cannot move a score. With scale = sqrt(c) for
+    counts c summing to n (as the detector calls it), every dropped entry
+    is at most sqrt(c_i c_j) e^-s, so the dropped part E has
+    ||E||_2 <= ||E||_inf <= sqrt(n) sqrt(k n) e^-s <= 2^-53 n eps
+    (Cauchy-Schwarz on the sum of sqrt(c_j), and k <= n). At the cap,
+    s = 746, every dropped entry underflows to exactly 0.0, and the band
+    is exact.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     s = np.asarray(scale, dtype=np.float64).ravel()
     k = v.size
-    reach = np.searchsorted(v, v + np.sqrt(RBF_UNDERFLOW * n), "right")
+    cut = 0.5 * math.log(n) + 53 * math.log(2.0) - math.log(epsilon)
+    reach = np.searchsorted(v, v + math.sqrt(min(max(cut, 0.0), RBF_UNDERFLOW) * n), "right")
     kd = int(np.max(reach - np.arange(1, k + 1)))
 
     def windows(a):

@@ -127,6 +127,26 @@ def test_bad_threshold_is_config_error(tmp_path, synth_files):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_threshold_is_config_error(tmp_path, synth_files, value, capsys):
+    data, schema_path = synth_files
+    out = tmp_path / "o"
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(out)]
+    # "--threshold=-inf" in one word, or argparse reads "-inf" as an option
+    assert main(argv + [f"--threshold={value}"]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_infinite_epsilon_is_config_error(tmp_path, synth_files, capsys):
+    data, schema_path = synth_files
+    out = tmp_path / "o"
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(out)]
+    assert main(argv + ["--epsilon", "inf"]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_encode_toy_matches_extended_matrix(tmp_path, toy_files):
     toy_csv, schema_path = toy_files
     out = tmp_path / "enc"
@@ -344,7 +364,19 @@ def test_commands_on_shaped_files(tmp_path, shaped_files, shape, command, kernel
     if command == "validate":
         argv += ["--trees", "5", "--folds", "3"]
     assert main(argv) == EXIT_OK
-    assert checks.check_report(json.loads((tmp_path / "report.json").read_text())) == []
+    report = _strict_json((tmp_path / "report.json").read_text())
+    if command == "validate":
+        _strict_json((tmp_path / "validation.json").read_text())
+    assert checks.check_report(report) == []
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which standard JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"not standard JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("shape", ["adult", "taiwan"])

@@ -8,7 +8,7 @@ from fairdep import DependenceConfig, KernelSpec, NumericsError, gram, hsic, noc
 from fairdep.dependence import label_direction, quadratic_form, regularized_operator
 from fairdep.kernels import LINEAR, RBF
 
-from oracles import naive_hsic, naive_nocco
+from oracles import naive_hsic, naive_nocco, value_gram
 
 EPS = 1e-6
 LIN = DependenceConfig(KernelSpec(LINEAR), EPS)
@@ -24,6 +24,12 @@ def balanced_labels(n):
 def test_config_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError):
         DependenceConfig(epsilon=0.0)
+
+
+def test_config_rejects_infinite_epsilon():
+    # the band's cut takes ln(eps), and an infinite ridge scores nothing
+    with pytest.raises(ValueError, match="finite"):
+        DependenceConfig(epsilon=np.inf)
 
 
 # ---------------------------------------------------------------- hsic
@@ -223,6 +229,40 @@ def test_label_quadratic_form_matches_dense_trace(n, seed, case):
     assert a * quadratic_form(x, u, cfg) == pytest.approx(dense, rel=1e-8, abs=5e-10)
 
 
+def _value_space_form(x, u, epsilon):
+    """u^T R_x u from the dense k x k centered value Gram and a general solve."""
+    n = x.size
+    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
+    root = np.sqrt(counts)
+    t = np.bincount(code, u) / root
+    w = root / np.sqrt(n)
+    pi = np.eye(values.size) - np.outer(w, w)
+    centered = pi @ (root[:, None] * value_gram(values, n) * root) @ pi
+    centered += n * epsilon * np.eye(values.size)
+    return float(t @ t) - n * epsilon * float(t @ np.linalg.solve(centered, t))
+
+
+# at eps = 1e-9 the ridge is 2e-6 and the problem's own rounding reaches
+# about 2e-11 on the uniform column, for this form and for the dense
+# reference alike (each against an extended-precision refinement, where
+# dropping the band's outside changes no bit), so the bound is wider there
+@pytest.mark.parametrize("epsilon, rel", [(1e-9, 1e-10), (1e-6, 1e-12), (1e-3, 1e-12)])
+@pytest.mark.parametrize("shape", ["money", "pay", "uniform"])
+def test_banded_quadratic_form_matches_dense_value_reference(shape, epsilon, rel):
+    # the band drops every entry of values more than sqrt(s n) apart; against
+    # the full k x k value Gram the form still agrees to rounding level
+    rng = np.random.default_rng(20)
+    n = 2000
+    x = {
+        "money": lambda: np.round(rng.lognormal(np.log(22000), 1.2, n)),
+        "pay": lambda: np.round(rng.lognormal(np.log(2500), 1.1, n)),
+        "uniform": lambda: np.round(rng.uniform(0.0, 20_000.0, n)),
+    }[shape]()
+    cfg = DependenceConfig(KernelSpec(RBF), epsilon)
+    u, _ = label_direction(np.where(x + rng.normal(0, 5000, n) > 20_000, 1.0, -1.0), cfg)
+    assert quadratic_form(x, u, cfg) == pytest.approx(_value_space_form(x, u, epsilon), rel=rel)
+
+
 def _closed_form_inputs(n):
     rng = np.random.default_rng(12345)
     z = rng.standard_normal(n)
@@ -396,7 +436,7 @@ def test_label_scoring_memory_is_linear_in_n(cfg):
 
 def test_banded_quadratic_form_memory_stays_within_band():
     # a money column at n=2000 has k of about 2000 distinct values but a
-    # nonzero band of width about 80: the scoring buffer is (kd+1) x k,
+    # band of width about 30: the scoring buffer is (kd+1) x k,
     # where a k x k value Gram alone would take about 30 MiB
     import tracemalloc
 

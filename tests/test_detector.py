@@ -205,6 +205,13 @@ def test_detect_fixed_threshold():
     assert report.config["threshold_mode"] == "fixed"
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_detect_rejects_nonfinite_fixed_threshold(threshold):
+    # nan and inf would flag nothing, -inf every candidate, and none is valid JSON
+    with pytest.raises(ValueError, match="finite"):
+        detect([fs("a", 0.4), fs("b", 0.6)], threshold=threshold)
+
+
 def test_detect_order_invariant_as_sets():
     scores = [fs("a", 0.1), fs("b", 0.5), fs("c", 0.9)]
     fwd = detect(scores)

@@ -176,12 +176,13 @@ def _band_columns(n):
     }
 
 
-@pytest.mark.parametrize("n", [40, 2000])
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("n", [40, 400, 2000])
 @pytest.mark.parametrize("shape", ["indicator", "count", "normal", "money", "pay"])
-def test_value_band_is_the_exact_nonzero_band(shape, n):
+def test_value_band_drops_only_what_cannot_move_a_score(shape, n, epsilon):
     values, counts = np.unique(_band_columns(n)[shape], return_counts=True)
     root = np.sqrt(counts)
-    ab = value_band(values, n, root)
+    ab = value_band(values, n, root, epsilon)
     assert ab.flags.f_contiguous
     kd, k = ab.shape[0] - 1, values.size
     K = value_gram(values, n)
@@ -189,7 +190,10 @@ def test_value_band_is_the_exact_nonzero_band(shape, n):
     K *= root
     for d in range(kd + 1):
         np.testing.assert_array_equal(ab[d, : k - d], np.diagonal(K, -d))
-    # everything below the band underflowed to exactly zero
-    assert not np.tril(K, -kd - 1).any()
+    # the dropped part E, both triangles: ||E||_inf stays within 2^-53 n eps,
+    # so the banded A = M - E + n eps I keeps every score to about 1e-16
+    dropped = np.tril(K, -kd - 1)
+    dropped += dropped.T
+    assert np.abs(dropped).sum(axis=1).max() <= 2.0**-53 * n * epsilon
     if n == 2000 and shape in ("money", "pay"):
-        assert kd < k // 2
+        assert kd < k // 6
