@@ -136,7 +136,10 @@ def _load(args) -> tuple:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise SchemaError(f"output path is not a directory: {out}") from None
     return out
 
 

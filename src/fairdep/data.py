@@ -193,9 +193,12 @@ class Dataset:
     """Validated samples: one array per feature column plus labels in {-1, +1}.
 
     Numeric columns are float64 arrays; binary and categorical columns
-    keep their (string) category values. `negative_display` remembers
-    the raw negative label when the source used a single one, so writers
-    can round-trip it. Immutable after construction.
+    keep their (string) category values. A binary column declared with
+    no pair gets its two sorted distinct values, over the whole column,
+    when the Dataset is built, so `take` keeps the pair and encode reads
+    it from `schema`. `negative_display` remembers the raw negative
+    label when the source used a single one, so writers can round-trip
+    it. Immutable after construction.
     """
 
     schema: Schema
@@ -217,6 +220,13 @@ class Dataset:
             raise DataError(f"labels must lie in {{-1, +1}}, got {sorted(values)}")
         if len(values) < 2:
             raise DataError("degenerate labels: only one class present")
+        columns = tuple(
+            replace(col, categories=_categories(col, cells.tolist()))
+            if col.kind == BINARY and col.categories is None
+            else col
+            for col, cells in zip(self.schema.columns, self.features)
+        )
+        object.__setattr__(self, "schema", replace(self.schema, columns=columns))
 
     @property
     def n(self) -> int:
@@ -270,8 +280,9 @@ class EncodedDataset:
     def decode_parent(self, parent: int) -> np.ndarray:
         """Recover the original column values from the encoded block.
 
-        encode() resolves undeclared binary pairs into the schema it
-        stores, so every non-numeric column decodes unambiguously.
+        Every binary column's pair is in the schema (the Dataset settles
+        it from the whole column), so every non-numeric column decodes
+        unambiguously.
         """
         col = self.schema.columns[parent]
         block = self.parent_columns[parent]
@@ -451,29 +462,32 @@ def _interpret_values(col: Column, values: list[str]) -> list[str]:
     """Recode and check a binary or categorical column's distinct values."""
     if col.recode:
         values = [col.recode.get(v, v) for v in values]
-    if col.kind == CATEGORICAL:
+    if col.recode_default is not None:
         declared = set(col.categories)
-        if col.recode_default is not None:
-            values = [v if v in declared else col.recode_default for v in values]
-        extra = set(values) - declared
-        if extra:
-            raise DataError(
-                f"column {col.name!r}: undeclared category values {sorted(extra)!r}"
-            )
-    else:  # binary
-        observed = sorted(set(values))
-        if col.categories is not None:
-            extra = set(observed) - set(col.categories)
-            if extra:
-                raise DataError(
-                    f"column {col.name!r}: values {sorted(extra)!r} outside declared pair"
-                )
-        elif len(observed) != 2:
+        values = [v if v in declared else col.recode_default for v in values]
+    _categories(col, values)
+    return values
+
+
+def _categories(col: Column, values) -> tuple[str, ...]:
+    """A binary or categorical column's categories, checked against its values.
+
+    An undeclared binary pair is the two distinct values, sorted (first -> 0).
+    """
+    observed = set(values)
+    if col.categories is None:
+        if len(observed) != 2:
             raise DataError(
                 f"column {col.name!r}: binary column has {len(observed)} distinct "
                 f"values, expected exactly 2"
             )
-    return values
+        return tuple(sorted(observed))
+    extra = observed.difference(col.categories)
+    if extra and col.kind == CATEGORICAL:
+        raise DataError(f"column {col.name!r}: undeclared category values {sorted(extra)!r}")
+    if extra:
+        raise DataError(f"column {col.name!r}: values {sorted(extra)!r} outside declared pair")
+    return col.categories
 
 
 def _parse_floats(name: str, cells) -> np.ndarray:
@@ -498,69 +512,39 @@ def _parse_floats(name: str, cells) -> np.ndarray:
         raise
 
 
-def binary_pair(col: Column, values: np.ndarray) -> tuple[str, str]:
-    """(zero_category, one_category) for a binary column.
-
-    Declared categories fix the order (first -> 0, second -> 1);
-    otherwise the lexicographically larger observed value maps to 1, so
-    the encoding never depends on row order.
-    """
-    if col.categories is not None:
-        return col.categories[0], col.categories[1]
-    observed = sorted(set(values.tolist()))
-    if len(observed) == 1:
-        raise DataError(
-            f"column {col.name!r}: constant binary column and no declared pair"
-        )
-    return observed[0], observed[1]
-
-
 def encode(dataset: Dataset) -> EncodedDataset:
     """One-hot encode into the extended matrix.
 
     Categorical columns with q categories become q indicator columns in
-    declared order; binary columns one 0/1 column; numeric columns are
-    copied unchanged. Each categorical row block sums to exactly 1.
+    declared order; binary columns one 0/1 column, the indicator of the
+    second category of the pair the Dataset settled from the whole
+    column; numeric columns are copied unchanged. Each categorical row
+    block sums to exactly 1.
     """
     blocks: list[np.ndarray] = []
     subfeatures: list[Subfeature] = []
     parent_columns: list[tuple[int, ...]] = []
-    resolved: list[Column] = []
     next_col = 0
     for j, col in enumerate(dataset.schema.columns):
         values = dataset.features[j]
         if col.kind == NUMERIC:
-            resolved.append(col)
             blocks.append(values.astype(np.float64).reshape(-1, 1))
             subfeatures.append(Subfeature(col.name, j, col.name, None, next_col))
             parent_columns.append((next_col,))
             next_col += 1
-        elif col.kind == BINARY:
-            zero_cat, one_cat = binary_pair(col, values)
-            resolved.append(replace(col, categories=(zero_cat, one_cat)))
-            indicator = (values == one_cat).astype(np.float64).reshape(-1, 1)
-            blocks.append(indicator)
-            subfeatures.append(
-                Subfeature(f"{col.name}_{one_cat}", j, col.name, one_cat, next_col)
-            )
-            parent_columns.append((next_col,))
-            next_col += 1
-        else:
-            resolved.append(col)
-            cats = col.categories
-            block = np.zeros((dataset.n, len(cats)), dtype=np.float64)
-            for k, cat in enumerate(cats):
-                block[:, k] = values == cat
-                subfeatures.append(
-                    Subfeature(f"{col.name}_{cat}", j, col.name, cat, next_col + k)
-                )
-            blocks.append(block)
-            parent_columns.append(tuple(range(next_col, next_col + len(cats))))
-            next_col += len(cats)
+            continue
+        cats = col.categories[1:] if col.kind == BINARY else col.categories
+        block = np.zeros((dataset.n, len(cats)), dtype=np.float64)
+        for k, cat in enumerate(cats):
+            block[:, k] = values == cat
+            subfeatures.append(Subfeature(f"{col.name}_{cat}", j, col.name, cat, next_col + k))
+        blocks.append(block)
+        parent_columns.append(tuple(range(next_col, next_col + len(cats))))
+        next_col += len(cats)
     matrix = np.hstack(blocks)
     matrix.setflags(write=False)
     return EncodedDataset(
-        schema=replace(dataset.schema, columns=tuple(resolved)),
+        schema=dataset.schema,
         matrix=matrix,
         subfeatures=tuple(subfeatures),
         parent_columns=tuple(parent_columns),
@@ -589,14 +573,17 @@ def standardize_numeric(encoded: EncodedDataset) -> EncodedDataset:
 def dataset_from_arrays(
     schema: Schema, features, y, negative_display: str | None = None
 ) -> Dataset:
-    """Build a Dataset directly from in-memory columns (synthetic data)."""
-    cols = tuple(np.asarray(col) for col in features)
-    return Dataset(
+    """Build a Dataset from in-memory columns, checking categories as the CSV loader does."""
+    dataset = Dataset(
         schema=schema,
-        features=cols,
+        features=tuple(np.asarray(col) for col in features),
         y=np.asarray(y, dtype=np.int64),
         negative_display=negative_display,
     )
+    for col, cells in zip(dataset.schema.columns, dataset.features):
+        if col.kind != NUMERIC:  # against settled pairs too: non-string cells fail
+            _categories(col, cells.tolist())
+    return dataset
 
 
 def write_encoded_csv(encoded: EncodedDataset, y, path, negative: str | None = None) -> None:

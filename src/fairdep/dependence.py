@@ -236,8 +236,11 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     ab[0] += ridge
     try:
         factor = linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise NumericsError(_NOT_PD) from exc
+    except linalg.LinAlgError as exc:  # K_v is positive definite: the ridge is below rounding
+        raise NumericsError(
+            f"the banded factor failed at epsilon = {config.epsilon:g} (ridge n*epsilon = "
+            f"{ridge:.3g}, below its rounding); raise --epsilon"
+        ) from exc
     p, q = linalg.cho_solve_banded(
         (factor, True), np.column_stack([t, w]), overwrite_b=True, check_finite=False
     ).T

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdep.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from fairdep.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -145,6 +145,28 @@ def test_infinite_epsilon_is_config_error(tmp_path, synth_files, capsys):
     assert main(argv + ["--epsilon", "inf"]) == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_tiny_epsilon_error_names_epsilon(tmp_path, synth_files, capsys):
+    # the RBF value Gram is positive definite; a ridge n*eps of 2.4e-16 is
+    # below the banded factor's rounding, and the message says so
+    data, schema_path = synth_files
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--epsilon", "1e-18"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "epsilon = 1e-18" in err and "n*epsilon = 2.4e-16" in err
+    assert "raise --epsilon" in err
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, synth_files, capsys):
+    data, schema_path = synth_files
+    taken = tmp_path / "taken"
+    taken.write_text("keep me", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "not a directory" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "keep me"
 
 
 def test_encode_toy_matches_extended_matrix(tmp_path, toy_files):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fairdep import Column, DataError, Schema, SchemaError, encode, load_dataset
 from fairdep import data
 from fairdep.data import (
-    binary_pair,
     dataset_from_arrays,
     standardize_numeric,
     write_encoded_csv,
@@ -372,9 +371,45 @@ def test_encoded_width_accounting(toy_dataset):
 
 
 def test_binary_pair_prefers_declared_order():
-    col = Column("sex", "binary", categories=("male", "female"))
-    values = np.array(["female", "male"], dtype=object)
-    assert binary_pair(col, values) == ("male", "female")
+    # the declared order, not the sorted one, fixes the 0/1 assignment
+    schema = Schema(
+        columns=(Column("sex", "binary", categories=("male", "female")),), label="y", positive="1"
+    )
+    ds = dataset_from_arrays(
+        schema, [np.array(["female", "male", "male"], dtype=object)], np.array([1, -1, 1])
+    )
+    enc = encode(ds)
+    np.testing.assert_array_equal(enc.matrix[:, 0], [1, 0, 0])
+    assert enc.subfeatures[0].name == "sex_female"
+    np.testing.assert_array_equal(enc.decode_parent(0), ds.features[0])
+
+
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        (Column("b", "binary", categories=("0", "1")), ["0", "1", "2", "1"]),
+        (Column("b", "binary"), ["0", "1", "2", "1"]),
+        (Column("b", "binary"), ["1", "1", "1", "1"]),
+        (Column("c", "categorical", categories=("x", "y")), ["x", "z", "y", "x"]),
+    ],
+    ids=["declared-pair", "undeclared-three", "undeclared-constant", "categorical"],
+)
+def test_in_memory_values_follow_the_loader_rule(column, values):
+    schema = Schema(columns=(column,), label="y", positive="1")
+    labels = ["1", "0", "1", "0"]
+    text = "\n".join([f"{column.name},y"] + [f"{v},{l}" for v, l in zip(values, labels)])
+    with pytest.raises(DataError) as from_csv:
+        load_dataset(io.StringIO(text), schema)
+    with pytest.raises(DataError) as from_arrays:
+        dataset_from_arrays(schema, [np.array(values, dtype=object)], np.array([1, -1, 1, -1]))
+    assert str(from_arrays.value) == str(from_csv.value)
+
+
+def test_in_memory_binary_cells_must_be_strings():
+    # an integer column would settle the pair ("0", "1") and encode as all zeros
+    schema = Schema(columns=(Column("b", "binary"),), label="y", positive="1")
+    with pytest.raises(DataError, match="outside declared pair"):
+        dataset_from_arrays(schema, [np.array([0, 1, 1, 0])], np.array([1, -1, 1, -1]))
 
 
 def test_standardize_touches_only_numeric(toy_dataset):

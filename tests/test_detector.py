@@ -306,6 +306,28 @@ def test_subsample_skewed_labels_keeps_both_classes():
     assert (out.y == -1).sum() >= 1
 
 
+def test_undeclared_binary_pair_survives_every_subsample():
+    # one "yes" in 3,000 rows: many 2,000-row draws miss it, and the pair
+    # must still come from the whole column
+    n = 3000
+    rng = np.random.default_rng(0)
+    y = np.where(rng.random(n) < 0.5, 1, -1)
+    flag = np.full(n, "no", dtype=object)
+    flag[1234] = "yes"
+    schema = Schema(
+        columns=(Column("flag", "binary"), Column("x", "numeric")), label="y", positive="1"
+    )
+    ds = dataset_from_arrays(schema, [flag, y + rng.standard_normal(n)], y)
+    assert ds.schema.columns[0].categories == ("no", "yes")
+    missed = 0
+    for seed in range(10):
+        encoded, _, _ = audit_dataset(ds, max_n=2000, seed=seed)
+        assert encoded.schema.columns[0].categories == ("no", "yes")
+        assert encoded.subfeatures[0].name == "flag_yes"
+        missed += not encoded.column(0).any()
+    assert missed > 0
+
+
 # ------------------------------------------------------- planted sweep
 
 
