@@ -6,89 +6,70 @@ against the label vector with a normalized kernel dependence measure
 (NOCCO), flags the features scoring at or above the median as sensitive,
 and can validate the flags against group-fairness disparities of a
 cross-validated random-forest classifier.
+
+The names below load on first use (PEP 562), so importing one
+submodule, such as `fairdep.forest` in a validation worker, loads only
+that submodule and what it imports.
 """
 
-from .data import (
-    Column,
-    Dataset,
-    EncodedDataset,
-    Schema,
-    Subfeature,
-    encode,
-    load_dataset,
-    standardize_numeric,
-)
-from .dependence import DependenceConfig, hsic, nocco, regularized_operator
-from .detector import (
-    DependenceReport,
-    FeatureScore,
-    audit_dataset,
-    detect,
-    score_features,
-    subsample,
-)
-from .errors import DataError, FairdepError, NumericsError, SchemaError
-from .fairness import (
-    FairnessMeasures,
-    GroupConfusion,
-    fairness_measures,
-    group_confusion,
-    one_vs_all_measures,
-)
-from .forest import ForestConfig, RandomForest
-from .kernels import LINEAR, RBF, KernelSpec, center, gram
-from .synth import PlantedFeature, SynthSpec, generate
-from .validation import (
-    KernelConsistency,
-    ValidationReport,
-    cross_validate,
-    kernel_consistency,
-    validate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Column",
-    "Dataset",
-    "DataError",
-    "DependenceConfig",
-    "DependenceReport",
-    "EncodedDataset",
-    "FairdepError",
-    "FairnessMeasures",
-    "FeatureScore",
-    "ForestConfig",
-    "GroupConfusion",
-    "KernelConsistency",
-    "KernelSpec",
-    "LINEAR",
-    "NumericsError",
-    "PlantedFeature",
-    "RBF",
-    "RandomForest",
-    "Schema",
-    "SchemaError",
-    "Subfeature",
-    "SynthSpec",
-    "ValidationReport",
-    "audit_dataset",
-    "center",
-    "cross_validate",
-    "detect",
-    "encode",
-    "fairness_measures",
-    "generate",
-    "gram",
-    "group_confusion",
-    "hsic",
-    "kernel_consistency",
-    "load_dataset",
-    "nocco",
-    "one_vs_all_measures",
-    "regularized_operator",
-    "score_features",
-    "standardize_numeric",
-    "subsample",
-    "validate",
-]
+_EXPORTS = {
+    "data": (
+        "Column",
+        "Dataset",
+        "EncodedDataset",
+        "Schema",
+        "Subfeature",
+        "encode",
+        "load_dataset",
+        "standardize_numeric",
+    ),
+    "dependence": ("DependenceConfig", "hsic", "nocco", "regularized_operator"),
+    "detector": (
+        "DependenceReport",
+        "FeatureScore",
+        "audit_dataset",
+        "detect",
+        "score_features",
+        "subsample",
+    ),
+    "errors": ("DataError", "FairdepError", "NumericsError", "SchemaError"),
+    "fairness": (
+        "FairnessMeasures",
+        "GroupConfusion",
+        "fairness_measures",
+        "group_confusion",
+        "one_vs_all_measures",
+    ),
+    "forest": ("ForestConfig", "RandomForest"),
+    "kernels": ("LINEAR", "RBF", "KernelSpec", "center", "gram"),
+    "synth": ("PlantedFeature", "SynthSpec", "generate"),
+    "validation": (
+        "KernelConsistency",
+        "ValidationReport",
+        "cross_validate",
+        "kernel_consistency",
+        "validate",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCE, *_SUBMODULES})

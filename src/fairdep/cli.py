@@ -3,14 +3,19 @@
 Every run writes its full effective configuration (defaults and seeds
 included) into its JSON output, so reruns are bit-reproducible. Exit
 codes separate failure families: 2 for configuration problems, 3 for
-data problems, 4 for numerical failures.
+data problems, 4 for numerical failures, 5 for a validation worker
+process that died.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_WORKER = 5
 
 
 def _add_io_flags(p: argparse.ArgumentParser):
@@ -180,19 +186,78 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _fold_map(folds: int):
+    """An order-keeping map that runs validation folds in parallel.
+
+    min(folds, usable CPUs) spawned workers; each imports what unpickling
+    `forest.fit_predict` needs, numpy and the forest, plus the caller's
+    main module again. Under the `fairdep` script or `python -m fairdep`
+    that main module is the small `fairdep.__main__`, and a worker holds
+    about 41 MB, so a 2-vCPU run holds three processes. With one worker
+    this is the builtin `map` and no process starts. The pool lives here
+    and not in the library, because a script that called the library
+    without an `if __name__ == "__main__":` guard would start it again in
+    every worker. A fold that raises drops the folds not yet started.
+    """
+    workers = min(folds, _usable_cpus())
+    if workers <= 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield functools.partial(_windowed_map, pool, workers + 1)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _windowed_map(pool, window: int, fn, *iterables):
+    """`pool.map`, submitting at most `window` calls ahead of the one it yields.
+
+    `ProcessPoolExecutor.map` submits every call before it yields the
+    first result, so it would hold every fold's training rows at once;
+    here the next fold's rows are taken only when a result is read.
+    """
+    pending = collections.deque()
+    for args in zip(*iterables):
+        pending.append(pool.submit(fn, *args))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def cmd_validate(args) -> int:
     out = _outdir(args)
     encoded, y, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
-    vreport = run_validation(
-        encoded,
-        y,
-        report,
-        folds=args.folds,
-        forest=ForestConfig(n_trees=args.trees, seed=args.seed),
-        seed=args.seed,
-        exclude_sensitive=args.exclude_sensitive_from_training,
-    )
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        with _fold_map(args.folds) as fold_map:
+            vreport = run_validation(
+                encoded,
+                y,
+                report,
+                folds=args.folds,
+                forest=ForestConfig(n_trees=args.trees, seed=args.seed),
+                seed=args.seed,
+                exclude_sensitive=args.exclude_sensitive_from_training,
+                fold_map=fold_map,
+            )
+    except BrokenExecutor as exc:  # a worker died, for example killed for memory
+        print(f"error (workers): {exc}", file=sys.stderr)
+        return EXIT_WORKER
     vreport.to_json(out / "validation.json")
     write_scatter_csv(vreport, args.kernel, out / "scatter.csv")
     acc = float(np.mean(vreport.fold_accuracy))

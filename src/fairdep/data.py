@@ -472,7 +472,8 @@ def _interpret_values(col: Column, values: list[str]) -> list[str]:
 def _categories(col: Column, values) -> tuple[str, ...]:
     """A binary or categorical column's categories, checked against its values.
 
-    An undeclared binary pair is the two distinct values, sorted (first -> 0).
+    An undeclared binary pair is the two distinct values, sorted (first -> 0);
+    both must be strings, as `encode` compares cells with the pair's strings.
     """
     observed = set(values)
     if col.categories is None:
@@ -480,6 +481,11 @@ def _categories(col: Column, values) -> tuple[str, ...]:
             raise DataError(
                 f"column {col.name!r}: binary column has {len(observed)} distinct "
                 f"values, expected exactly 2"
+            )
+        if not all(isinstance(v, str) for v in observed):
+            raise DataError(
+                f"column {col.name!r}: binary values must be strings, "
+                f"got {sorted(observed, key=repr)!r}"
             )
         return tuple(sorted(observed))
     extra = observed.difference(col.categories)

@@ -245,3 +245,13 @@ class RandomForest:
             votes += tree.predict(X)
         # votes counts trees saying +1; ties go to -1
         return np.where(2 * votes > len(self.trees), 1, -1).astype(np.int64)
+
+
+def fit_predict(X, y, X_test, config: ForestConfig) -> np.ndarray:
+    """One cross-validation fold: fit a forest on (X, y), predict X_test.
+
+    A pure function of its arguments, defined at module level so that a
+    process pool can pickle it by name. Unpickling it in a worker
+    imports numpy and this module, not scipy.
+    """
+    return RandomForest(config).fit(X, y).predict(X_test)

@@ -28,7 +28,7 @@ from .fairness import (
     group_confusion,
     indicator_columns,
 )
-from .forest import ForestConfig, RandomForest
+from .forest import ForestConfig, fit_predict
 from .kernels import LINEAR, RBF, KernelSpec
 
 
@@ -79,19 +79,34 @@ def cross_validate(
     folds: int = 10,
     forest: ForestConfig = ForestConfig(),
     seed: int = 0,
+    fold_map=map,
 ) -> CrossValResult:
-    """Stratified k-fold fit/predict; deterministic under (seed, forest)."""
+    """Stratified k-fold fit/predict; deterministic under (seed, forest).
+
+    Each fold is one `forest.fit_predict(train X, train y, test X,
+    config)` call, a pure function of the fold's rows and its seed, and
+    the folds are handed to `fold_map(fit_predict, *argument iterables)`.
+    The builtin `map` (the default) runs them one after another in this
+    process. A process pool's order-keeping `map` (such as
+    `ProcessPoolExecutor.map`) runs them in parallel with the same
+    result, bit for bit; a script that passes one needs an
+    `if __name__ == "__main__":` guard, because spawned workers import
+    the script's main module again.
+    """
     X = np.asarray(matrix, dtype=np.float64)
     y = np.asarray(y).ravel()
     test_sets = stratified_folds(y, folds, seed)
+    train_sets = [np.setdiff1d(np.arange(y.size), test_idx) for test_idx in test_sets]
+    predicted = fold_map(
+        fit_predict,
+        (X[idx] for idx in train_sets),
+        (y[idx] for idx in train_sets),
+        (X[idx] for idx in test_sets),
+        (replace(forest, seed=_fold_seed(forest.seed, fold)) for fold in range(folds)),
+    )
     predictions = np.zeros(y.size, dtype=np.int64)
     accuracy = []
-    for fold, test_idx in enumerate(test_sets):
-        mask = np.ones(y.size, dtype=bool)
-        mask[test_idx] = False
-        model = RandomForest(replace(forest, seed=_fold_seed(forest.seed, fold)))
-        model.fit(X[mask], y[mask])
-        pred = model.predict(X[test_idx])
+    for test_idx, pred in zip(test_sets, predicted):
         predictions[test_idx] = pred
         accuracy.append(float(np.mean(pred == y[test_idx])))
     return CrossValResult(
@@ -220,6 +235,7 @@ def validate(
     forest: ForestConfig = ForestConfig(),
     seed: int = 0,
     exclude_sensitive: bool = False,
+    fold_map=map,
 ) -> ValidationReport:
     """Fairness-vs-dependence pairing for every indicator subfeature.
 
@@ -233,6 +249,9 @@ def validate(
     purity); only `forest.n_trees` and `forest.seed` vary. The config's
     "forest" record states that protocol as `max_depth` null,
     `max_features` "sqrt" and `bootstrap` true.
+
+    The folds run in this process unless `fold_map` says otherwise; it
+    is passed to `cross_validate`, whose docstring states the contract.
     """
     y = np.asarray(y).ravel()
     train_matrix = encoded.matrix
@@ -249,7 +268,7 @@ def validate(
             raise DataError("excluding sensitive features leaves no training columns")
         train_matrix = encoded.matrix[:, keep]
 
-    cv = cross_validate(train_matrix, y, folds=folds, forest=forest, seed=seed)
+    cv = cross_validate(train_matrix, y, folds=folds, forest=forest, seed=seed, fold_map=fold_map)
 
     records = []
     for c in indicator_columns(encoded):

@@ -1,12 +1,27 @@
+import concurrent.futures
 import csv
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairdep.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from fairdep import ForestConfig, NumericsError
+from fairdep import validation as validation_module
+from fairdep.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_WORKER,
+    _run_audit_pipeline,
+    build_parser,
+    main,
+)
+from fairdep.validation import validate, write_scatter_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -354,6 +369,122 @@ def test_undecodable_csv_byte_is_data_error(tmp_path, toy_files, capsys):
     code = main(["audit", "--data", str(bad), "--schema", str(schema_path), "--out", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert f"byte {len(head) + 1}: not valid UTF-8" in capsys.readouterr().err
+
+
+# ------------------------------------- validate's folds on worker processes
+
+VALIDATION_OUTPUTS = ("validation.json", "scatter.csv")
+
+
+def _validate_argv(synth_files, out, exclude=False):
+    data, schema_path = synth_files
+    argv = ["validate", "--data", str(data), "--schema", str(schema_path)]
+    argv += ["--folds", "3", "--trees", "5", "--seed", "3", "--out", str(out)]
+    return argv + (["--exclude-sensitive-from-training"] if exclude else [])
+
+
+def _outputs(out):
+    return {name: (out / name).read_bytes() for name in VALIDATION_OUTPUTS}
+
+
+def _in_process_outputs(argv):
+    """What `validate` writes when the library runs every fold in this process."""
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    out.mkdir()
+    encoded, y, report = _run_audit_pipeline(args)
+    vreport = validate(
+        encoded,
+        y,
+        report,
+        folds=args.folds,
+        forest=ForestConfig(n_trees=args.trees, seed=args.seed),
+        seed=args.seed,
+        exclude_sensitive=args.exclude_sensitive_from_training,
+        fold_map=map,
+    )
+    vreport.to_json(out / "validation.json")
+    write_scatter_csv(vreport, args.kernel, out / "scatter.csv")
+    return _outputs(out)
+
+
+@pytest.mark.parametrize("exclude", [False, True], ids=["all-columns", "exclude-sensitive"])
+def test_validate_worker_pool_matches_in_process_folds(tmp_path, synth_files, monkeypatch, exclude):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append((max_workers, kwargs["mp_context"].get_start_method()))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main(_validate_argv(synth_files, tmp_path / "cli", exclude)) == EXIT_OK
+    assert pools == [(2, "spawn")]
+    expected = _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref", exclude))
+    assert _outputs(tmp_path / "cli") == expected
+
+
+@pytest.mark.parametrize("cpu_source", ["affinity", "cpu_count"])
+def test_validate_on_one_cpu_starts_no_process(tmp_path, synth_files, monkeypatch, cpu_source):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one usable CPU")
+
+    if cpu_source == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:  # a platform without CPU affinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(_validate_argv(synth_files, tmp_path / "cli")) == EXIT_OK
+    assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
+
+
+@pytest.mark.parametrize("module", ["fairdep", "fairdep.cli"])
+def test_validate_as_main_module_in_a_subprocess(tmp_path, synth_files, module):
+    # spawned workers import the parent's main module again
+    argv = _validate_argv(synth_files, tmp_path / "cli")
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
+
+
+def _failing_fold(X, y, X_test, config):
+    with open(os.environ["FAIRDEP_TEST_FOLD_LOG"], "a") as log:
+        log.write("started\n")
+    raise NumericsError("fold failed in a worker")
+
+
+def _dying_fold(X, y, X_test, config):
+    os._exit(1)
+
+
+def _ten_fold_argv_on_two_workers(synth_files, out, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = _validate_argv(synth_files, out)
+    argv[argv.index("--folds") + 1] = "10"
+    return argv
+
+
+def test_failed_fold_in_a_worker_drops_the_folds_not_started(tmp_path, synth_files, monkeypatch, capsys):
+    # two workers hold at most three folds submitted, so at most three start
+    log = tmp_path / "folds.log"
+    monkeypatch.setenv("FAIRDEP_TEST_FOLD_LOG", str(log))
+    monkeypatch.setattr(validation_module, "fit_predict", _failing_fold)
+    argv = _ten_fold_argv_on_two_workers(synth_files, tmp_path / "cli", monkeypatch)
+    assert main(argv) == EXIT_NUMERIC
+    assert "error (numerics): fold failed in a worker" in capsys.readouterr().err
+    assert 1 <= len(log.read_text().splitlines()) <= 3
+
+
+def test_dead_worker_is_reported_with_its_own_exit_code(tmp_path, synth_files, monkeypatch, capsys):
+    monkeypatch.setattr(validation_module, "fit_predict", _dying_fold)
+    argv = _ten_fold_argv_on_two_workers(synth_files, tmp_path / "cli", monkeypatch)
+    assert main(argv) == EXIT_WORKER
+    err = capsys.readouterr().err
+    assert err.startswith("error (workers): ") and "Traceback" not in err
 
 
 # --------------------------------------- every command on real-shaped files

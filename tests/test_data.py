@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdep import Column, DataError, Schema, SchemaError, encode, load_dataset
+from fairdep import Column, DataError, Dataset, Schema, SchemaError, encode, load_dataset
 from fairdep import data
 from fairdep.data import (
     dataset_from_arrays,
@@ -408,8 +408,25 @@ def test_in_memory_values_follow_the_loader_rule(column, values):
 def test_in_memory_binary_cells_must_be_strings():
     # an integer column would settle the pair ("0", "1") and encode as all zeros
     schema = Schema(columns=(Column("b", "binary"),), label="y", positive="1")
-    with pytest.raises(DataError, match="outside declared pair"):
+    with pytest.raises(DataError, match="binary values must be strings"):
         dataset_from_arrays(schema, [np.array([0, 1, 1, 0])], np.array([1, -1, 1, -1]))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([0, 1, 1, 0]),
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array(["a", 1, 1, "a"], dtype=object),
+    ],
+    ids=["int", "float", "mixed"],
+)
+def test_direct_dataset_rejects_non_string_binary_cells(cells):
+    # the pair is settled in Dataset itself, so a Dataset built without
+    # the loader or dataset_from_arrays must not encode as all zeros
+    schema = Schema(columns=(Column("flag", "binary"),), label="y", positive="1")
+    with pytest.raises(DataError, match="column 'flag': binary values must be strings"):
+        Dataset(schema=schema, features=(cells,), y=np.array([1, -1, 1, -1]))
 
 
 def test_standardize_touches_only_numeric(toy_dataset):

@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import argsort_cart_forest
 
 from fairdep import DataError, ForestConfig, RandomForest
+from fairdep.cli import _fold_map
 from fairdep.dependence import DependenceConfig
 from fairdep.detector import audit_dataset
 from fairdep.kernels import LINEAR, KernelSpec
@@ -59,18 +62,36 @@ def test_different_seeds_differ_somewhere():
     assert (a != b).any()
 
 
-def test_noise_features_give_chance_level_accuracy():
-    # empirical calibration: pooled 10-fold accuracy on pure noise
-    from fairdep.validation import cross_validate
+@pytest.fixture(scope="module")
+def spawn_map():
+    """The fold map `fairdep validate` uses: a spawn pool, one worker per usable CPU."""
+    with _fold_map(10) as fold_map:
+        yield fold_map
 
+
+def test_noise_features_give_chance_level_accuracy(spawn_map):
+    # empirical calibration: pooled 10-fold accuracy on pure noise
     accs = []
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         X = rng.standard_normal((500, 5))
         y = np.where(rng.random(500) < 0.5, 1, -1)
-        cv = cross_validate(X, y, folds=10, forest=ForestConfig(n_trees=30, seed=seed), seed=seed)
+        forest = ForestConfig(n_trees=30, seed=seed)
+        cv = cross_validate(X, y, folds=10, forest=forest, seed=seed, fold_map=spawn_map)
         accs.append(np.mean(cv.predictions == y))
     assert all(0.4 <= a <= 0.6 for a in accs)
+
+
+@pytest.mark.parametrize("module", ["fairdep.forest", "fairdep.__main__"])
+def test_worker_imports_load_no_scipy(module):
+    # a validation worker imports fairdep.forest to unpickle fit_predict,
+    # and the `fairdep` script's workers import fairdep.__main__ again
+    code = (
+        f"import sys, {module}; "
+        "sys.exit(' '.join(m for m in sys.modules if m.startswith('scipy')) or None)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_predictions_are_signs():

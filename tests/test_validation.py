@@ -236,6 +236,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.returncode == 0, done.stderr or "import fairdep.cli loaded scipy.stats"
 
 
+def test_lazy_package_exports_resolve():
+    import fairdep
+
+    for name in fairdep.__all__:
+        getattr(fairdep, name)  # AttributeError if the table names a missing object
+    assert fairdep.validate is fairdep.validation.validate
+    with pytest.raises(AttributeError):
+        getattr(fairdep, "no_such_name")
+
+
 @pytest.mark.parametrize("ties", [False, True])
 def test_spearman_equals_scipy_bit_for_bit(ties):
     from scipy import stats
