@@ -7,23 +7,31 @@ Prediction is a majority vote over trees; vote ties fall to the negative
 class. Everything is a pure function of (data, config.seed), so refits
 reproduce bit-identically.
 
+Each tree's random stream draws its bootstrap resample, then its nodes'
+features DRAW_BLOCK nodes at a time: the first mtry of the ranks of m
+uniform variates, a uniformly drawn ordered set of distinct features.
+Each impure node takes the next draw, depth first, right child first.
+
 `RandomForest.fit` codes the columns once per forest, and each split
 takes one of two routes by the column's distinct values (see
 `_best_split`): a two-valued column (every one-hot indicator and binary
 feature) is scored from four (value, label) counts, any other column by
-sorting. Both give the costs, and so the nodes, thresholds and leaf
-values, of sorting every column. Each node draws its features with one
-`rng.choice`, depth first, whichever route it then takes, so the random
-stream and the trees do not depend on the routes.
+sorting. Both maximise the same purity sum from exact integer counts,
+so they give the same floats, and so the nodes, thresholds and leaf
+values, of sorting every column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
+
+DRAW_BLOCK = 64  # nodes per feature draw of a tree's random stream
 
 
 @dataclass(frozen=True)
@@ -38,71 +46,50 @@ class ForestConfig:
             raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
 
 
-class _Tree:
-    """One CART tree stored as flat arrays (feature, threshold, children)."""
+class _Tree(NamedTuple):
+    """One CART tree as arrays indexed by node; the root is node 0.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    Node i sends `x[feature[i]] <= threshold[i]` to `left[i]` and the
+    rest to `left[i] + 1`; a leaf has feature -1. `value` is every
+    node's majority class, 0 or 1.
+    """
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[int] = []  # majority class at the node, 0 or 1
-
-    def _new_node(self, value: int) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
-
-    def fit(self, cols: _Columns, idx, rng, mtry: int):
-        pos = int(cols.b[idx].sum())
-        root = self._new_node(_majority(pos, idx.size))
-        stack = [(root, idx, pos)]
-        while stack:
-            node, rows, pos = stack.pop()
-            k = rows.size
-            if pos == 0 or pos == k or k < 2:
-                continue
-            feats = rng.choice(cols.m, size=mtry, replace=False)
-            split = _best_split(cols, rows, pos, feats)
-            if split is None:
-                continue
-            f, thr, left_rows, right_rows, left_pos = split
-            right_pos = pos - left_pos
-            self.feature[node] = f
-            self.threshold[node] = thr
-            left = self._new_node(_majority(left_pos, left_rows.size))
-            right = self._new_node(_majority(right_pos, right_rows.size))
-            self.left[node] = left
-            self.right[node] = right
-            stack.append((left, left_rows, left_pos))
-            stack.append((right, right_rows, right_pos))
-
-    def predict(self, X) -> np.ndarray:
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            internal = feature[node] >= 0
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            cur = node[rows]
-            goes_left = X[rows, feature[cur]] <= threshold[cur]
-            node[rows] = np.where(goes_left, left[cur], right[cur])
-        return value[node]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
 
 
-def _majority(pos: int, n: int) -> int:
-    # ties fall to class 0 (the negative class)
-    return int(pos * 2 > n)
+def _draws(rng, m: int, mtry: int):
+    """Each node's features: rows of blocks of DRAW_BLOCK ranked draws."""
+    while True:
+        yield from rng.random((DRAW_BLOCK, m)).argsort(axis=1)[:, :mtry].tolist()
+
+
+def _grow(cols: _Columns, idx, draws) -> _Tree:
+    """Grow one tree to purity on the rows `idx`, depth first.
+
+    A split numbers its two children next, so k rows make at most
+    2k - 1 nodes.
+    """
+    size = 2 * idx.size - 1
+    feature, threshold, left, value = [-1] * size, [math.nan] * size, [-1] * size, [0] * size
+    stack = [(0, idx, int(cols.b[idx].sum()))]
+    count = 1
+    while stack:
+        node, rows, pos = stack.pop()
+        value[node] = int(pos * 2 > rows.size)  # ties fall to class 0
+        if not 0 < pos < rows.size:
+            continue
+        split = _best_split(cols, rows, pos, next(draws))
+        if split is None:
+            continue
+        feature[node], threshold[node], left_rows, right_rows, left_pos = split
+        left[node] = count
+        stack.append((count, left_rows, left_pos))
+        stack.append((count + 1, right_rows, pos - left_pos))
+        count += 2
+    return _Tree(*(np.array(column[:count]) for column in (feature, threshold, left, value)))
 
 
 class _Columns:
@@ -117,7 +104,6 @@ class _Columns:
     def __init__(self, X, b):
         self.X = np.ascontiguousarray(X.T)
         self.b = b
-        self.m = self.X.shape[0]
         self.span = np.arange(X.shape[0] + 1)
         self.code: list[np.ndarray | None] = []
         self.mid: list[float] = []
@@ -133,33 +119,32 @@ def _best_split(cols: _Columns, rows, pos: int, feats):
 
     Returns (feature, threshold, left rows, right rows, left positives).
     A cut with n_l rows (p_l positives) on the left and n_r (p_r) on the
-    right of a k-row node costs
-    (n_l*2*q_l*(1-q_l) + n_r*2*q_r*(1-q_r)) / k with q = p/n. Features
-    are compared in `feats` order with strict `<`, so the first of equal
-    costs wins. The column's distinct values choose the route:
+    right of a k-row node with p positives has weighted Gini 2(p - S)/k
+    with S = p_l²/n_l + p_r²/n_r, so the cut of highest purity sum S is
+    the cut of lowest Gini. Features are compared in `feats`
+    order with strict `>`, so the first of equal sums wins. The column's
+    distinct values choose the route:
 
     - Two values lo < hi: the one cut is at (lo + hi) / 2. One
       `bincount` of the column's code over the node's rows gives the
-      four (value, label) counts; the cost is the expression above in
-      Python scalars, with the same operand order.
+      four (value, label) counts, and S is computed from Python ints.
     - Otherwise: sort the node's values and score every cut between
-      unequal neighbours from a cumulative label sum; the first minimum
-      wins.
+      unequal neighbours from a cumulative label sum in int64; the first
+      maximum wins.
 
-    The two routes give the same floats. The counts are exact integers
-    below 2**53, so each converts to float64 exactly, Python's int / int
-    rounds the exact quotient as numpy's division of the converted
-    values does, and the remaining operations are the same IEEE
-    operations in the same order. At a cut between unequal values the
-    cumulative sum counts every row at or below the cut, whatever the
-    order of tied rows, so the sort need not be stable.
+    The two routes give the same floats: the squares are exact integers
+    below 2**53, int / int rounds the exact quotient in Python as numpy's
+    division of the converted integers does, and the one addition is the
+    same. At a cut between unequal values the cumulative sum counts every
+    row at or below the cut, whatever the order of tied rows, so the sort
+    need not be stable.
 
     A split sends left the rows at or below the lower value of its cut.
     That is the rows with `x <= threshold` unless the midpoint rounds up
     to the upper value, which takes adjacent doubles or an overflow.
     """
     k = rows.size
-    best_cost = np.inf
+    best_score = -1.0
     best = None
     labels = None
     for f in feats:
@@ -170,13 +155,10 @@ def _best_split(cols: _Columns, rows, pos: int, feats):
             left_n = lo_neg + lo_pos
             if left_n == 0 or left_n == k:
                 continue
-            right_n = k - left_n
-            p_l = lo_pos / left_n
-            p_r = hi_pos / right_n
-            cost = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / k
-            if cost < best_cost:
-                best_cost = cost
-                best = (int(f), cols.mid[f], lo_pos, c, None)
+            score = lo_pos * lo_pos / left_n + hi_pos * hi_pos / (k - left_n)
+            if score > best_score:
+                best_score = score
+                best = (f, cols.mid[f], lo_pos, c, None)
             continue
         v = cols.X[f][rows]
         order = v.argsort()
@@ -186,17 +168,14 @@ def _best_split(cols: _Columns, rows, pos: int, feats):
         if labels is None:
             labels = cols.b[rows]
         left_pos = labels[order].cumsum()[:-1]
-        left_n = cols.span[1:k]
-        right_n = k - left_n
         right_pos = pos - left_pos
-        p_l = left_pos / left_n
-        p_r = right_pos / right_n
-        cost = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / k
-        cost[vs[1:] == vs[:-1]] = np.inf
-        i = int(cost.argmin())
-        if cost[i] < best_cost:
-            best_cost = cost[i]
-            best = (int(f), float((vs[i] + vs[i + 1]) / 2), int(left_pos[i]), order, i + 1)
+        left_n, right_n = cols.span[1:k], cols.span[k - 1 : 0 : -1]
+        score = left_pos * left_pos / left_n + right_pos * right_pos / right_n
+        score[vs[1:] == vs[:-1]] = -1.0
+        i = int(score.argmax())
+        if score[i] > best_score:
+            best_score = score[i]
+            best = (f, float((vs[i] + vs[i + 1]) / 2), int(left_pos[i]), order, i + 1)
     if best is None:
         return None
     f, thr, left_pos, sel, cut = best
@@ -218,6 +197,8 @@ class RandomForest:
         y = np.asarray(y).ravel()
         if X.ndim != 2 or X.shape[0] != y.size:
             raise ValueError(f"X {X.shape} and y {y.shape} disagree")
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns")
         classes = set(np.unique(y).tolist())
         if not classes <= {-1, 1}:
             raise ValueError(f"labels must lie in {{-1, +1}}, got {sorted(classes)}")
@@ -227,22 +208,37 @@ class RandomForest:
             raise ValueError("X contains NaN")
         n, m = X.shape
         cols = _Columns(X, (y == 1).astype(np.int64))
-        mtry = max(1, int(np.sqrt(m)))
+        mtry = math.isqrt(m)
         self.trees = []
         for child in np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(child)
-            tree = _Tree()
-            tree.fit(cols, rng.integers(0, n, size=n), rng, mtry)
-            self.trees.append(tree)
+            idx = rng.integers(0, n, size=n)
+            self.trees.append(_grow(cols, idx, _draws(rng, m, mtry)))
         return self
 
     def predict(self, X) -> np.ndarray:
+        """Majority vote of the trees, walked together through one node table.
+
+        A NaN fails `x <= threshold`, so it goes right.
+        """
         if not self.trees:
             raise RuntimeError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict(X)
+        n = X.shape[0]
+        sizes = [tree.feature.size for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, value = (np.concatenate(column) for column in zip(*self.trees))
+        left = left + np.repeat(roots, sizes)  # a leaf's left is never read
+        node = np.repeat(roots, n)
+        row = np.tile(np.arange(n), len(self.trees))
+        walking = np.arange(node.size)
+        while walking.size:
+            cur = node[walking]
+            f = feature[cur]
+            internal = f >= 0
+            walking, cur, f = walking[internal], cur[internal], f[internal]
+            node[walking] = left[cur] + ~(X[row[walking], f] <= threshold[cur])
+        votes = value[node].reshape(len(self.trees), n).sum(axis=0)
         # votes counts trees saying +1; ties go to -1
         return np.where(2 * votes > len(self.trees), 1, -1).astype(np.int64)
 

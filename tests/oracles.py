@@ -89,13 +89,15 @@ def argsort_cart_forest(X, y, n_trees, seed):
     Breiman's protocol: each tree grows to purity on a bootstrap resample
     and draws floor(sqrt(m)) of the m features at every node. Each node
     sorts each drawn feature (stable `argsort`), scores every cut between
-    unequal neighbours from a cumulative label sum, keeps the first
-    minimum, compares features in draw order with strict `<`, and
-    partitions with `x <= threshold`. The random draws (one child seed
-    per tree, a bootstrap resample, one `choice` per node, depth first
-    with the right child popped first) follow `RandomForest.fit`, so the
-    trees must agree node for node. Returns one (feature, threshold,
-    left, right, value) tuple of lists per tree.
+    unequal neighbours by its purity sum p_l²/n_l + p_r²/n_r (the weighted
+    Gini is 2(p - sum)/k), keeps the first maximum, compares features in
+    draw order with strict `>`, and partitions with `x <= threshold`. The
+    random draws follow `RandomForest.fit`: one child seed per tree, a
+    bootstrap resample, then blocks of 64 rows of m uniform variates,
+    whose ranks give each impure node's features in turn, depth first
+    with the right child popped first. So the trees must agree node for
+    node. Returns one (feature, threshold, left, right, value) tuple of
+    lists per tree.
     """
     X = np.asarray(X, dtype=np.float64)
     b = (np.asarray(y).ravel() == 1).astype(np.int64)
@@ -112,6 +114,13 @@ def argsort_cart_forest(X, y, n_trees, seed):
 def _argsort_cart_tree(X, b, idx, rng, mtry):
     feature, threshold, left, right, value = [], [], [], [], []
 
+    def blocks():
+        while True:
+            for variates in rng.random((64, X.shape[1])):
+                yield np.argsort(variates, kind="stable")[:mtry]
+
+    draws = blocks()
+
     def new_node(rows):
         feature.append(-1)
         threshold.append(np.nan)
@@ -127,8 +136,8 @@ def _argsort_cart_tree(X, b, idx, rng, mtry):
         pos = int(b[rows].sum())
         if pos == 0 or pos == k or k < 2:
             continue
-        feats = rng.choice(X.shape[1], size=mtry, replace=False)
-        best_cost, best = np.inf, None
+        feats = next(draws)
+        best_score, best = -np.inf, None
         labels = b[rows]
         for f in feats:
             v = X[rows, f]
@@ -141,13 +150,11 @@ def _argsort_cart_tree(X, b, idx, rng, mtry):
             left_n = np.arange(1, k)
             right_n = k - left_n
             right_pos = left_pos[-1] + bs[-1] - left_pos
-            p_l = left_pos / left_n
-            p_r = right_pos / right_n
-            cost = (left_n * 2 * p_l * (1 - p_l) + right_n * 2 * p_r * (1 - p_r)) / k
-            cost[vs[1:] == vs[:-1]] = np.inf
-            i = int(np.argmin(cost))
-            if cost[i] < best_cost:
-                best_cost = cost[i]
+            score = left_pos**2 / left_n + right_pos**2 / right_n
+            score[vs[1:] == vs[:-1]] = -np.inf
+            i = int(np.argmax(score))
+            if score[i] > best_score:
+                best_score = score[i]
                 best = (int(f), float((vs[i] + vs[i + 1]) / 2))
         if best is None:
             continue

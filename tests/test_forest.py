@@ -1,10 +1,13 @@
 import hashlib
+import math
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import argsort_cart_forest
 
@@ -12,6 +15,7 @@ from fairdep import DataError, ForestConfig, RandomForest
 from fairdep.cli import _fold_map
 from fairdep.dependence import DependenceConfig
 from fairdep.detector import audit_dataset
+from fairdep.forest import DRAW_BLOCK, _best_split, _Columns, _draws
 from fairdep.kernels import LINEAR, KernelSpec
 from fairdep.synth import default_validation_spec, generate
 from fairdep.validation import cross_validate
@@ -112,26 +116,98 @@ def test_nan_input_rejected():
         RandomForest(ForestConfig(n_trees=2)).fit(X, y)
 
 
+def test_zero_columns_rejected():
+    y = np.array([1, -1] * 5)
+    with pytest.raises(ValueError, match="no feature columns"):
+        RandomForest(ForestConfig(n_trees=2)).fit(np.empty((10, 0)), y)
+
+
+def _walk(tree, x):
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] + (not x[tree.feature[node]] <= tree.threshold[node])
+    return tree.value[node]
+
+
+def test_predict_votes_equal_each_trees_walk():
+    # an even tree count, so vote ties occur and fall to -1
+    X, y = mixed_problem(300, seed=11)
+    forest = RandomForest(ForestConfig(n_trees=24, seed=3)).fit(X, y)
+    Xt, _ = mixed_problem(150, seed=12)
+    Xt[::7, 4] = np.nan  # NaN fails x <= threshold, so it goes right
+    Xt[::11] = np.nan
+    votes = np.array([sum(_walk(tree, x) for tree in forest.trees) for x in Xt])
+    assert (2 * votes == 24).any()
+    np.testing.assert_array_equal(forest.predict(Xt), np.where(2 * votes > 24, 1, -1))
+
+
+# ------------------------------------------------------- draws and split choice
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 11])
+def test_block_draws_pick_each_feature_subset_uniformly(m):
+    from scipy import stats
+
+    mtry = math.isqrt(m)
+    draws = _draws(np.random.default_rng(m), m, mtry)
+    picks = [next(draws) for _ in range(500 * DRAW_BLOCK)]
+    assert all(len(set(p)) == mtry and 0 <= min(p) and max(p) < m for p in picks)
+    counts = Counter(frozenset(p) for p in picks)
+    assert len(counts) == math.comb(m, mtry)
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+
+
+def _gini(labels) -> Fraction:
+    # weighted Gini of a cut, sum over both sides of n * 2q(1 - q), over k
+    total = Fraction(0)
+    for side in labels:
+        if side.size:
+            q = Fraction(int(side.sum()), side.size)
+            total += side.size * 2 * q * (1 - q)
+    return total / sum(side.size for side in labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 60), m=st.integers(1, 5))
+def test_chosen_cut_has_the_lowest_weighted_gini(seed, k, m):
+    # few distinct values per column, so nodes hold tied values and
+    # some columns take the two-valued route
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.choice(rng.standard_normal(rng.integers(2, 6)), 80) for _ in range(m)])
+    b = rng.integers(0, 2, 80)
+    rows = rng.integers(0, 80, k)
+    pos = int(b[rows].sum())
+    assume(0 < pos < k)
+    split = _best_split(_Columns(X, b), rows, pos, list(range(m)))
+    costs = []
+    for f in range(m):
+        v = np.unique(X[rows, f])
+        for thr in (v[1:] + v[:-1]) / 2:
+            goes_left = X[rows, f] <= thr
+            costs.append(_gini((b[rows[goes_left]], b[rows[~goes_left]])))
+    if not costs:
+        assert split is None
+        return
+    f, thr, left_rows, right_rows, left_pos = split
+    goes_left = X[rows, f] <= thr
+    np.testing.assert_array_equal(np.sort(left_rows), np.sort(rows[goes_left]))
+    np.testing.assert_array_equal(np.sort(right_rows), np.sort(rows[~goes_left]))
+    assert left_pos == b[left_rows].sum()
+    assert _gini((b[left_rows], b[right_rows])) <= min(costs) * (1 + Fraction(1, 10**12))
+
+
 # ------------------------------------------- bit identity with the argsort CART
-
-
-def _tree_arrays(tree):
-    return (
-        np.asarray(tree.feature, dtype=np.int64),
-        np.asarray(tree.threshold, dtype=np.float64),
-        np.asarray(tree.left, dtype=np.int64),
-        np.asarray(tree.right, dtype=np.int64),
-        np.asarray(tree.value, dtype=np.int64),
-    )
 
 
 def test_trees_and_cv_predictions_match_golden_hashes():
     # SHA-256 of the argsort CART's output under the default forest: the
-    # trees of the planted problems above, and the out-of-fold predictions
-    # on the validation suite as `fairdep validate --kernel linear` encodes
-    # it. The prediction hash predates the two-valued count route; the tree
-    # hash was taken from a forest checked node for node against the
-    # argsort CART.
+    # trees of the planted problems above (feature, threshold, left and
+    # value arrays), and the out-of-fold predictions on the validation
+    # suite as `fairdep validate --kernel linear` encodes it. Both were
+    # re-pinned when nodes began drawing their features in blocks and
+    # scoring cuts by the purity sum, which changes the trees; both hashes
+    # were reproduced from `argsort_cart_forest` itself, the predictions
+    # by walking its trees row by row.
     digest = hashlib.sha256()
     for (n, seed, flip), config in [
         ((400, 1, 0.0), ForestConfig(n_trees=100, seed=0)),
@@ -142,16 +218,16 @@ def test_trees_and_cv_predictions_match_golden_hashes():
     ]:
         X, y = planted_problem(n, seed, flip)
         for tree in RandomForest(config).fit(X, y).trees:
-            for array in _tree_arrays(tree):
+            for array in tree:  # feature, threshold, left, value
                 digest.update(array.tobytes())
-    assert digest.hexdigest() == "c03c8f080f84fdecdeb199b26c3aa5b008b64007209725e7fe895594507d7573"
+    assert digest.hexdigest() == "d3b638e714296245d2fa7117aad20332c4edffb2eb5f4046ca682999a015bcdd"
 
     dataset, _ = generate(default_validation_spec(7))
     encoded, y, _ = audit_dataset(dataset, DependenceConfig(KernelSpec(LINEAR)))
     predictions = cross_validate(encoded.matrix, y).predictions.astype(np.int64)
     assert (
         hashlib.sha256(predictions.tobytes()).hexdigest()
-        == "598b305ad8d8cf6c1f1cb6ee1331659fb84fd95ceea275091f5283a20c581ff9"
+        == "8af609e1be949bd4c7c45757ff705aebf0969d35936dd7589c94a0ddcf568046"
     )
 
 
@@ -182,9 +258,11 @@ def _assert_trees_match_reference(X, y, config):
     forest = RandomForest(config).fit(X, y)
     reference = argsort_cart_forest(X, y, config.n_trees, config.seed)
     assert len(forest.trees) == len(reference)
-    for tree, expected in zip(forest.trees, reference):
-        for got, want in zip(_tree_arrays(tree), expected):
+    for tree, (feature, threshold, left, right, value) in zip(forest.trees, reference):
+        for got, want in zip(tree, (feature, threshold, left, value)):
             np.testing.assert_array_equal(got, np.asarray(want, dtype=got.dtype))
+        internal = tree.feature >= 0
+        np.testing.assert_array_equal(np.asarray(right)[internal], tree.left[internal] + 1)
 
 
 @settings(max_examples=60, deadline=None)
