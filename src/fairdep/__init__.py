@@ -42,7 +42,6 @@ _EXPORTS = {
         "GroupConfusion",
         "fairness_measures",
         "group_confusion",
-        "one_vs_all_measures",
     ),
     "forest": ("ForestConfig", "RandomForest"),
     "kernels": ("LINEAR", "RBF", "KernelSpec", "center", "gram"),

@@ -13,7 +13,6 @@ import argparse
 import collections
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -21,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Schema, encode, load_dataset, write_dataset_csv, write_encoded_csv
+from .data import Schema, encode, load_dataset, write_dataset_csv, write_encoded_csv, write_json
 from .dependence import DependenceConfig
-from .detector import audit_dataset
+from .detector import DEFAULT_SEED, DEFAULT_SUBSAMPLE, audit_dataset
 from .errors import DataError, NumericsError, SchemaError
 from .forest import ForestConfig
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -52,8 +51,8 @@ def _add_audit_flags(p: argparse.ArgumentParser):
         default="median",
         help="'median' or a fixed numeric cut for the sensitive flag",
     )
-    p.add_argument("--max-n", type=int, default=2000, help="subsample cap on rows")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--max-n", type=int, default=DEFAULT_SUBSAMPLE, help="subsample cap on rows")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--standardize", action="store_true", help="z-score numeric columns")
 
 
@@ -290,12 +289,8 @@ def cmd_synth(args) -> int:
     )
     dataset, truth = generate(spec)
     write_dataset_csv(dataset, out / "synth.csv", negative=dataset.negative_display)
-    with open(out / "synth.schema.json", "w", encoding="utf-8") as fh:
-        json.dump(dataset.schema.to_dict(), fh, indent=2)
-        fh.write("\n")
-    with open(out / "synth.truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "synth.schema.json", dataset.schema.to_dict())
+    write_json(out / "synth.truth.json", truth)
     print(f"wrote {out / 'synth.csv'}, {out / 'synth.schema.json'}, {out / 'synth.truth.json'}")
     return EXIT_OK
 

@@ -251,9 +251,7 @@ class Subfeature:
     """One column of the extended matrix and where it came from."""
 
     name: str
-    parent: int
     parent_name: str
-    category: str | None  # None for numeric passthrough columns
     column: int
 
 
@@ -535,7 +533,7 @@ def encode(dataset: Dataset) -> EncodedDataset:
         values = dataset.features[j]
         if col.kind == NUMERIC:
             blocks.append(values.astype(np.float64).reshape(-1, 1))
-            subfeatures.append(Subfeature(col.name, j, col.name, None, next_col))
+            subfeatures.append(Subfeature(col.name, col.name, next_col))
             parent_columns.append((next_col,))
             next_col += 1
             continue
@@ -543,7 +541,7 @@ def encode(dataset: Dataset) -> EncodedDataset:
         block = np.zeros((dataset.n, len(cats)), dtype=np.float64)
         for k, cat in enumerate(cats):
             block[:, k] = values == cat
-            subfeatures.append(Subfeature(f"{col.name}_{cat}", j, col.name, cat, next_col + k))
+            subfeatures.append(Subfeature(f"{col.name}_{cat}", col.name, next_col + k))
         blocks.append(block)
         parent_columns.append(tuple(range(next_col, next_col + len(cats))))
         next_col += len(cats)
@@ -624,3 +622,10 @@ def write_dataset_csv(dataset: Dataset, path, negative: str | None = None) -> No
                 row.append(_format_cell(v) if col.kind == NUMERIC else str(v))
             row.append(dataset.schema.positive if dataset.y[i] == 1 else neg)
             writer.writerow(row)
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as UTF-8 JSON indented by two, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

@@ -14,12 +14,19 @@ flagged sensitive, each with its top-scoring group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BINARY, CATEGORICAL, Dataset, EncodedDataset, encode, standardize_numeric
+from .data import (
+    BINARY,
+    CATEGORICAL,
+    Dataset,
+    EncodedDataset,
+    encode,
+    standardize_numeric,
+    write_json,
+)
 from .dependence import DependenceConfig, label_direction, quadratic_form
 from .errors import DataError, NumericsError
 
@@ -31,7 +38,6 @@ DEFAULT_SEED = 42
 class FeatureScore:
     """Dependence of one parent feature and its subfeatures on the label."""
 
-    index: int
     name: str
     kind: str
     candidate: bool
@@ -85,9 +91,7 @@ class DependenceReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def table(self) -> str:
         """Human-readable score table, one row per subfeature."""
@@ -165,7 +169,6 @@ def score_features(
         argmax = int(np.argmax(scores))  # ties resolve to the lowest index
         out.append(
             FeatureScore(
-                index=j,
                 name=col.name,
                 kind=col.kind,
                 candidate=is_candidate(col.kind, col.candidate_sensitive),

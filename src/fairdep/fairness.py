@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EncodedDataset
-from .errors import DataError
 
 MEASURE_KEYS = ("f_pe", "f_ep", "f_eo", "f_oae")
 
@@ -83,20 +82,9 @@ def group_confusion(predictions, labels, group_indicator) -> GroupConfusion:
         )
     if not set(np.unique(g).tolist()) <= {0.0, 1.0}:
         raise ValueError("group indicator must be 0/1")
-    in_g = g == 1
-    pos = lab == 1
-    hat = pred == 1
-
-    def counts(mask):
-        return (
-            int(np.sum(mask & pos & hat)),
-            int(np.sum(mask & ~pos & ~hat)),
-            int(np.sum(mask & ~pos & hat)),
-            int(np.sum(mask & pos & ~hat)),
-        )
-
-    tp, tn, fp, fn = counts(in_g)
-    tp_c, tn_c, fp_c, fn_c = counts(~in_g)
+    # each row's cell is 4*[in group] + 2*[label +1] + [prediction +1]
+    cells = np.bincount(4 * (g == 1) + 2 * (lab == 1) + (pred == 1), minlength=8)
+    tn_c, fp_c, fn_c, tp_c, tn, fp, fn, tp = cells.tolist()
     return GroupConfusion(tp, tn, fp, fn, tp_c, tn_c, fp_c, fn_c)
 
 
@@ -117,30 +105,10 @@ def fairness_measures(gc: GroupConfusion) -> FairnessMeasures:
     ep = abs(tpr_g - tpr_c) if tpr_g is not None and tpr_c is not None else None
     eo = pe + ep if pe is not None and ep is not None else None
     oae = abs(acc_g - acc_c) if acc_g is not None and acc_c is not None else None
-    return FairnessMeasures(
-        predictive_equality=pe,
-        equal_opportunity=ep,
-        equalized_odds=eo,
-        accuracy_equality=oae,
-    )
-
-
-def one_vs_all_measures(
-    predictions, labels, encoded: EncodedDataset, subfeature_index: int
-) -> FairnessMeasures:
-    """Measures for one indicator column: its group versus everyone else."""
-    col = encoded.matrix[:, subfeature_index]
-    if not set(np.unique(col).tolist()) <= {0.0, 1.0}:
-        name = encoded.subfeatures[subfeature_index].name
-        raise DataError(f"subfeature {name!r} is not a 0/1 indicator")
-    return fairness_measures(group_confusion(predictions, labels, col))
+    return FairnessMeasures(pe, ep, eo, oae)
 
 
 def indicator_columns(encoded: EncodedDataset) -> list[int]:
     """Indices of columns usable as group indicators (0/1-valued)."""
-    out = []
-    for i in range(encoded.width):
-        values = set(np.unique(encoded.matrix[:, i]).tolist())
-        if values <= {0.0, 1.0}:
-            out.append(i)
-    return out
+    M = encoded.matrix
+    return np.flatnonzero(((M == 0) | (M == 1)).all(axis=0)).tolist()

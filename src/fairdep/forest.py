@@ -191,6 +191,7 @@ class RandomForest:
     def __init__(self, config: ForestConfig = ForestConfig()):
         self.config = config
         self.trees: list[_Tree] = []
+        self.width = 0  # columns of the fitted X
 
     def fit(self, X, y) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
@@ -209,6 +210,7 @@ class RandomForest:
         n, m = X.shape
         cols = _Columns(X, (y == 1).astype(np.int64))
         mtry = math.isqrt(m)
+        self.width = m
         self.trees = []
         for child in np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(child)
@@ -224,6 +226,8 @@ class RandomForest:
         if not self.trees:
             raise RuntimeError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.width:
+            raise ValueError(f"X is {X.shape}; the forest was fitted on {self.width} columns")
         n = X.shape[0]
         sizes = [tree.feature.size for tree in self.trees]
         roots = np.cumsum([0] + sizes[:-1])

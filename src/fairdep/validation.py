@@ -12,12 +12,11 @@ kernels and reports how much the rankings and detected sets move.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import EncodedDataset
+from .data import EncodedDataset, write_json
 from .dependence import DependenceConfig
 from .detector import DependenceReport, detect, score_features
 from .errors import DataError
@@ -154,45 +153,26 @@ class ValidationReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    def scatter_rows(self, kernel: str) -> list[dict]:
-        """Plot-ready rows: one per subfeature, means plus CV accuracy."""
-        acc = float(np.mean(self.fold_accuracy))
-        rows = []
-        for r in self.records:
-            row = {"subfeature": r.name, "kernel": kernel, "nocco": r.nocco}
-            row.update(r.means)
-            row["accuracy"] = acc
-            rows.append(row)
-        return rows
+        write_json(path, self.to_dict())
 
 
 def write_scatter_csv(report: ValidationReport, kernel: str, path) -> None:
+    """Plot-ready rows: one per subfeature, mean disparities plus CV accuracy."""
     import csv
 
+    acc = f"{float(np.mean(report.fold_accuracy)):.6g}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subfeature", "kernel", "nocco", *MEASURE_KEYS, "accuracy"])
-        for row in report.scatter_rows(kernel):
-            writer.writerow(
-                [
-                    row["subfeature"],
-                    row["kernel"],
-                    f"{row['nocco']:.6g}",
-                    *[("" if row[k] is None else f"{row[k]:.6g}") for k in MEASURE_KEYS],
-                    f"{row['accuracy']:.6g}",
-                ]
-            )
+        for r in report.records:
+            means = ("" if r.means[k] is None else f"{r.means[k]:.6g}" for k in MEASURE_KEYS)
+            writer.writerow([r.name, kernel, f"{r.nocco:.6g}", *means, acc])
 
 
 def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
     defined = [v for v in values if v is not None]
-    if not defined:
-        return None, len(values)
-    return float(np.mean(defined)), len(values) - len(defined)
+    mean = float(np.mean(defined)) if defined else None
+    return mean, len(values) - len(defined)
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -216,15 +196,16 @@ def _spearman(a, b) -> float:
     return float(np.corrcoef(np.column_stack((ra, rb)), rowvar=False)[1, 0])
 
 
-def _spearman_or_none(pairs) -> float | None:
-    """Rank correlation, or None when degenerate (too few or constant)."""
+def _spearman_or_none(records, key: str) -> float | None:
+    """Rank correlation of nocco with the defined means of `key`.
+
+    None when degenerate: fewer than three defined means, or a constant side.
+    """
+    pairs = [(r.nocco, r.means[key]) for r in records if r.means[key] is not None]
     if len(pairs) < 3:
         return None
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
-    if np.unique(a).size < 2 or np.unique(b).size < 2:
-        return None
-    return _spearman(a, b)
+    rho = _spearman([a for a, _ in pairs], [b for _, b in pairs])
+    return None if np.isnan(rho) else rho
 
 
 def validate(
@@ -270,43 +251,32 @@ def validate(
 
     cv = cross_validate(train_matrix, y, folds=folds, forest=forest, seed=seed, fold_map=fold_map)
 
+    nocco: dict[str, float] = {}
+    for fs in report.scores:
+        for name, d in zip(fs.subfeature_names, fs.subfeature_scores):
+            nocco.setdefault(name, d)  # the first of equal names wins
     records = []
     for c in indicator_columns(encoded):
         sub = encoded.subfeatures[c]
-        try:
-            d = report.subfeature_score(sub.name)
-        except KeyError:
+        if sub.name not in nocco:
             raise ValueError(
                 f"dependence report does not cover subfeature {sub.name!r}; "
                 "it must come from the same encoded dataset"
-            ) from None
-        fold_measures = []
-        for test_idx in cv.fold_test_indices:
-            gc = group_confusion(
-                cv.predictions[test_idx], y[test_idx], encoded.matrix[test_idx, c]
             )
-            fold_measures.append(fairness_measures(gc))
-        means = {}
-        undefined = {}
+        per_fold = tuple(
+            fairness_measures(group_confusion(cv.predictions[idx], y[idx], encoded.matrix[idx, c]))
+            for idx in cv.fold_test_indices
+        )
+        values = [m.as_dict() for m in per_fold]
+        means, undefined = {}, {}
         for key in MEASURE_KEYS:
-            mean, n_undefined = _mean_defined([m.as_dict()[key] for m in fold_measures])
-            means[key] = mean
-            undefined[key] = n_undefined
+            means[key], undefined[key] = _mean_defined([v[key] for v in values])
         records.append(
             SubfeatureValidation(
-                name=sub.name,
-                parent=sub.parent_name,
-                nocco=d,
-                per_fold=tuple(fold_measures),
-                means=means,
-                undefined=undefined,
+                sub.name, sub.parent_name, nocco[sub.name], per_fold, means, undefined
             )
         )
-
-    spearman = {}
-    for key in MEASURE_KEYS:
-        pairs = [(r.nocco, r.means[key]) for r in records if r.means[key] is not None]
-        spearman[key] = _spearman_or_none(pairs)
+    spearman = {key: _spearman_or_none(records, key) for key in MEASURE_KEYS}
 
     config = {
         "folds": folds,

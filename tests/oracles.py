@@ -64,6 +64,13 @@ def naive_nocco(x, y, kind, epsilon):
     return float(np.trace(naive_operator(x, kind, epsilon) @ naive_operator(y, kind, epsilon)))
 
 
+def unique_indicator_columns(matrix):
+    """Columns whose distinct values lie in {0, 1}: one `np.unique` per column."""
+    return [
+        i for i in range(matrix.shape[1]) if set(np.unique(matrix[:, i]).tolist()) <= {0.0, 1.0}
+    ]
+
+
 def brute_force_group_confusion(predictions, labels, group):
     """Count the eight cells one row at a time."""
     cells = {

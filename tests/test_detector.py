@@ -33,7 +33,6 @@ def fs(name, score, subs=None, candidate=True):
     subs = subs or ((name + "_1", score),)
     names, values = zip(*subs)
     return FeatureScore(
-        index=0,
         name=name,
         kind="binary",
         candidate=candidate,

@@ -8,12 +8,11 @@ from fairdep import (
     GroupConfusion,
     fairness_measures,
     group_confusion,
-    one_vs_all_measures,
 )
-from fairdep.data import Column, Schema, dataset_from_arrays, encode
+from fairdep.data import Column, EncodedDataset, Schema, dataset_from_arrays, encode
 from fairdep.fairness import indicator_columns
 
-from oracles import brute_force_group_confusion
+from oracles import brute_force_group_confusion, unique_indicator_columns
 
 
 def test_hand_enumerated_four_instances():
@@ -162,7 +161,7 @@ def test_measure_ranges():
             assert 0 <= m.accuracy_equality <= 1
 
 
-# -------------------------------------------------------------- one-vs-all
+# ------------------------------------------------------ one group vs the rest
 
 
 def three_way_encoded():
@@ -178,18 +177,17 @@ def three_way_encoded():
     return encode(ds), y
 
 
-def test_one_vs_all_three_categories():
+def test_group_confusion_three_categories():
     enc, y = three_way_encoded()
     pred = -y
-    results = [one_vs_all_measures(pred, y, enc, i) for i in range(3)]
+    results = [fairness_measures(group_confusion(pred, y, enc.matrix[:, i])) for i in range(3)]
     assert len(results) == 3
     for i, m in enumerate(results):
-        col = enc.matrix[:, i]
-        direct = fairness_measures(group_confusion(pred, y, col))
-        assert m == direct
+        cells = brute_force_group_confusion(pred, y, enc.matrix[:, i])
+        assert m == fairness_measures(GroupConfusion(**cells))
 
 
-def test_one_vs_all_binary_parent_complement_symmetry():
+def test_group_confusion_binary_parent_complement_symmetry():
     schema = Schema(columns=(Column("sex", "binary", categories=("f", "m")),), label="y", positive="1")
     rng = np.random.default_rng(3)
     raw = np.where(rng.random(40) < 0.5, "m", "f").astype(object)
@@ -197,7 +195,7 @@ def test_one_vs_all_binary_parent_complement_symmetry():
     ds = dataset_from_arrays(schema, [raw], y)
     enc = encode(ds)
     pred = np.where(rng.random(40) < 0.7, y, -y)
-    m_ind = one_vs_all_measures(pred, y, enc, 0)
+    m_ind = fairness_measures(group_confusion(pred, y, enc.matrix[:, 0]))
     flipped = fairness_measures(group_confusion(pred, y, 1 - enc.matrix[:, 0]))
     for key, value in m_ind.as_dict().items():
         other = flipped.as_dict()[key]
@@ -207,27 +205,51 @@ def test_one_vs_all_binary_parent_complement_symmetry():
             assert value == pytest.approx(other, abs=1e-12)
 
 
-def test_one_vs_all_degenerate_everyone_in_group():
+def test_group_confusion_degenerate_everyone_in_group():
     schema = Schema(columns=(Column("x", "numeric"),), label="y", positive="1")
     y = np.array([1, -1, 1, -1])
     ds = dataset_from_arrays(schema, [np.ones(4)], y)
     enc = encode(ds)
-    m = one_vs_all_measures(y, y, enc, 0)
+    m = fairness_measures(group_confusion(y, y, enc.matrix[:, 0]))
     assert all(v is None for v in m.as_dict().values())
 
 
-def test_one_vs_all_rejects_non_indicator():
+def test_group_confusion_rejects_non_indicator():
     schema = Schema(columns=(Column("x", "numeric"),), label="y", positive="1")
     y = np.array([1, -1, 1, -1])
     ds = dataset_from_arrays(schema, [np.array([0.0, 0.5, 1.0, 2.0])], y)
     enc = encode(ds)
-    from fairdep import DataError
-
-    with pytest.raises(DataError, match="indicator"):
-        one_vs_all_measures(y, y, enc, 0)
+    with pytest.raises(ValueError, match="0/1"):
+        group_confusion(y, y, enc.matrix[:, 0])
 
 
 def test_indicator_columns_filter(toy_dataset):
     enc = encode(toy_dataset)
     # ncrimes column holds 0/1/2 values and is excluded
     assert indicator_columns(enc) == [0, 1, 3, 4, 5]
+
+
+COLUMN_KINDS = {
+    "indicator": lambda rng, n: rng.integers(0, 2, n).astype(float),
+    "all_zero": lambda rng, n: np.zeros(n),
+    "all_one": lambda rng, n: np.ones(n),
+    "zero_one_two": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "float": lambda rng, n: rng.random(n),
+    "indicator_and_half": lambda rng, n: np.where(rng.random(n) < 0.2, 0.5, rng.integers(0, 2, n)),
+    "negative_zero": lambda rng, n: np.where(rng.random(n) < 0.5, -0.0, 1.0),
+    "all_negative_zero": lambda rng, n: np.full(n, -0.0),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=8),
+    st.integers(1, 30),
+    st.integers(0, 2**31 - 1),
+)
+def test_indicator_columns_match_per_column_unique(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    matrix = np.column_stack([COLUMN_KINDS[kind](rng, n) for kind in kinds])
+    # indicator_columns reads only the matrix
+    enc = EncodedDataset(schema=None, matrix=matrix, subfeatures=(), parent_columns=())
+    assert indicator_columns(enc) == unique_indicator_columns(matrix)

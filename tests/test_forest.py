@@ -109,6 +109,14 @@ def test_predict_before_fit_rejected():
         RandomForest().predict(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("width", [1, 6])
+def test_predict_rejects_other_widths(width):
+    X, y = planted_problem(50, seed=11)
+    model = RandomForest(ForestConfig(n_trees=3)).fit(X, y)
+    with pytest.raises(ValueError, match=rf"\(4, {width}\).*fitted on 3 columns"):
+        model.predict(np.ones((4, width)))
+
+
 def test_nan_input_rejected():
     X, y = planted_problem(50, seed=10)
     X[3, 1] = np.nan
