@@ -2,9 +2,10 @@
 
 Every run writes its full effective configuration (defaults and seeds
 included) into its JSON output, so reruns are bit-reproducible. Exit
-codes separate failure families: 2 for configuration problems, 3 for
-data problems, 4 for numerical failures, 5 for a validation worker
-process that died.
+codes separate failure families: 2 for configuration problems
+(SchemaError), 3 for data problems (DataError), 4 for numerical
+failures (NumericsError), 5 for a validation worker process that died.
+Any other exception is a bug and ends with a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import collections
 import contextlib
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -97,29 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_threshold(raw: str):
-    if raw == "median":
-        return "median"
+    """'median' or a float; `detect` rejects a float that is not finite."""
     try:
-        t = float(raw)
-        if math.isfinite(t):
-            return t
+        return raw if raw == "median" else float(raw)
     except ValueError:
-        pass
-    raise SchemaError(f"--threshold must be 'median' or a finite number, got {raw!r}")
+        raise SchemaError(f"--threshold must be 'median' or a number, got {raw!r}") from None
 
 
 def _parse_planted(raw: str) -> tuple[PlantedFeature, ...]:
     out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            if ":" in part:
-                p, f = part.split(":", 1)
-                out.append(PlantedFeature(float(p), float(f)))
-            else:
-                out.append(PlantedFeature(float(part)))
+    for part in filter(None, map(str.strip, raw.split(","))):
+        try:  # "p" or "p:fraction"
+            out.append(PlantedFeature(*map(float, part.split(":", 1))))
         except ValueError as exc:
             raise SchemaError(f"bad --planted entry {part!r}: {exc}") from exc
     if not out:
@@ -307,8 +296,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # encode takes no seed
+            raise SchemaError(f"--seed must be nonnegative, got {args.seed}")
         return COMMANDS[args.command](args)
-    except (SchemaError, ValueError) as exc:
+    except SchemaError as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

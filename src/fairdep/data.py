@@ -3,8 +3,9 @@
 A Schema declares, per column, whether it is numeric, binary, or
 categorical (with an ordered category list), plus the label column and
 its positive value. Loading maps the label onto {-1, +1}, drops rows
-with missing cells, and validates every categorical value against the
-declaration. Encoding expands each categorical column with q categories
+with missing cells, validates every categorical value against the
+declaration, and requires every numeric or binned cell to be a finite
+number. Encoding expands each categorical column with q categories
 into q indicator columns, maps binary columns to a single 0/1 column,
 and passes numeric columns through, producing the extended matrix used
 by the dependence scorer.
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import compress, islice
 from operator import itemgetter
 
@@ -58,6 +60,13 @@ class Column:
     catches everything the map misses (handy for groupings like
     US/non-US where enumerating the long tail is pointless). `bins`
     turns a numeric source column into ordered categories.
+
+    The fields, in this order, are the keys of a column in a schema
+    document (`Schema.from_dict` builds `Column(**entry)`, `to_dict`
+    writes them back), and construction checks each one's type:
+    `name` and `kind` strings, `candidate_sensitive` a bool or None,
+    `recode` a dict of strings to strings, `categories` and `bins`
+    lists (or tuples).
     """
 
     name: str
@@ -69,8 +78,19 @@ class Column:
     bins: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"column name must be a string, got {self.name!r}")
         if self.kind not in COLUMN_KINDS:
             raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
+        if not isinstance(self.candidate_sensitive, (bool, type(None))):
+            raise SchemaError(f"column {self.name!r}: candidate_sensitive must be true or false")
+        if not isinstance(self.recode, (dict, type(None))) or any(
+            not isinstance(s, str) for pair in (self.recode or {}).items() for s in pair
+        ):
+            raise SchemaError(f"column {self.name!r}: recode must map strings to strings")
+        for key in ("categories", "bins"):
+            if not isinstance(getattr(self, key), (list, tuple, type(None))):
+                raise SchemaError(f"column {self.name!r}: {key} must be a list")
         if self.categories is not None:
             object.__setattr__(self, "categories", tuple(str(c) for c in self.categories))
             if len(set(self.categories)) != len(self.categories):
@@ -107,6 +127,16 @@ class Column:
                 )
 
 
+def _known_keys(doc: dict, keys, where: str) -> dict:
+    """`doc`, checked to be a JSON object whose keys are all in `keys`."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise SchemaError(f"{where}: unknown key {unknown[0]!r}; expected one of {list(keys)}")
+    return doc
+
+
 @dataclass(frozen=True)
 class Schema:
     """Column declarations plus the label column and its positive value."""
@@ -132,29 +162,30 @@ class Schema:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Schema":
+        """Schema from a parsed JSON document; every fault is a SchemaError.
+
+        Each entry of "columns" is `Column(**entry)`, so the column keys
+        are Column's fields. A key nothing reads raises, in a column, in
+        "label" or at the top level. A TypeError, ValueError, KeyError or
+        AttributeError from a missing or mistyped field becomes a
+        SchemaError; Column's own SchemaErrors pass unchanged.
+        """
         try:
-            columns = tuple(
-                Column(
-                    name=str(c["name"]),
-                    kind=str(c["kind"]),
-                    categories=tuple(c["categories"]) if "categories" in c else None,
-                    candidate_sensitive=c.get("candidate_sensitive"),
-                    recode={str(k): str(v) for k, v in c["recode"].items()}
-                    if "recode" in c
-                    else None,
-                    recode_default=c.get("recode_default"),
-                    bins=tuple(c["bins"]) if "bins" in c else None,
-                )
-                for c in doc["columns"]
-            )
-            label = doc["label"]
+            _known_keys(doc, ("columns", "label", "missing_values"), "schema")
+            _known_keys(doc["label"], ("name", "positive"), "label")
+            keys = [f.name for f in fields(Column)]
             return cls(
-                columns=columns,
-                label=str(label["name"]),
-                positive=str(label["positive"]),
+                columns=tuple(
+                    Column(**_known_keys(entry, keys, f"columns[{i}]"))
+                    for i, entry in enumerate(doc["columns"])
+                ),
+                label=str(doc["label"]["name"]),
+                positive=str(doc["label"]["positive"]),
                 missing_values=tuple(doc.get("missing_values", DEFAULT_MISSING)),
             )
-        except (KeyError, TypeError) as exc:
+        except SchemaError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"malformed schema document: {exc}") from exc
 
     @classmethod
@@ -167,20 +198,8 @@ class Schema:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        cols = []
-        for c in self.columns:
-            entry: dict = {"name": c.name, "kind": c.kind}
-            if c.categories is not None:
-                entry["categories"] = list(c.categories)
-            if c.candidate_sensitive is not None:
-                entry["candidate_sensitive"] = c.candidate_sensitive
-            if c.recode is not None:
-                entry["recode"] = dict(c.recode)
-            if c.recode_default is not None:
-                entry["recode_default"] = c.recode_default
-            if c.bins is not None:
-                entry["bins"] = list(c.bins)
-            cols.append(entry)
+        """The document `from_dict` reads: each column's fields in order, None ones left out."""
+        cols = [{key: v for key, v in asdict(c).items() if v is not None} for c in self.columns]
         return {
             "columns": cols,
             "label": {"name": self.label, "positive": self.positive},
@@ -220,6 +239,11 @@ class Dataset:
             raise DataError(f"labels must lie in {{-1, +1}}, got {sorted(values)}")
         if len(values) < 2:
             raise DataError("degenerate labels: only one class present")
+        for col, cells in zip(self.schema.columns, self.features):
+            floats = np.asarray(cells, dtype=np.float64) if col.kind == NUMERIC else 0.0
+            if not np.isfinite(floats).all():
+                bad = floats[~np.isfinite(floats)]
+                raise DataError(f"column {col.name!r}: non-finite value {float(bad[0])!r}")
         columns = tuple(
             replace(col, categories=_categories(col, cells.tolist()))
             if col.kind == BINARY and col.categories is None
@@ -495,25 +519,30 @@ def _categories(col: Column, values) -> tuple[str, ...]:
 
 
 def _parse_floats(name: str, cells) -> np.ndarray:
-    """The cells as float64; DataError names the first non-numeric one.
+    """The cells as finite float64; DataError names the first bad one in row order.
 
-    float() accepts the same surrounding whitespace as str.strip() except
-    the separators \\x1c-\\x1f, so stripped cells are parsed only when the
-    raw ones fail.
+    A cell is bad when float() rejects it ("non-numeric") or gives nan or
+    an infinity ("non-finite", 1e999 too). The block is one float64
+    conversion of the raw cells; only when that fails or is not finite
+    are the cells stripped and parsed one by one, as float() accepts the
+    same surrounding whitespace as str.strip() except the separators
+    \\x1c-\\x1f.
     """
     try:
-        return np.asarray(cells, dtype=np.float64)
+        values = np.asarray(cells, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        cells = list(map(str.strip, cells))
-    try:
-        return np.asarray(cells, dtype=np.float64)
-    except ValueError:
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                raise DataError(f"column {name!r}: non-numeric value {cell!r}") from None
-        raise
+        pass
+    parsed = []
+    for cell in map(str.strip, cells):
+        try:
+            parsed.append(float(cell))
+        except ValueError:
+            raise DataError(f"column {name!r}: non-numeric value {cell!r}") from None
+        if not math.isfinite(parsed[-1]):
+            raise DataError(f"column {name!r}: non-finite value {cell!r}")
+    return np.array(parsed)
 
 
 def encode(dataset: Dataset) -> EncodedDataset:
@@ -523,7 +552,9 @@ def encode(dataset: Dataset) -> EncodedDataset:
     declared order; binary columns one 0/1 column, the indicator of the
     second category of the pair the Dataset settled from the whole
     column; numeric columns are copied unchanged. Each categorical row
-    block sums to exactly 1.
+    block sums to exactly 1. An encoded column is named `name` (numeric)
+    or `name_category`; SchemaError when two source columns give one
+    name (a categorical `a` with category `b` and a column `a_b`).
     """
     blocks: list[np.ndarray] = []
     subfeatures: list[Subfeature] = []
@@ -545,6 +576,12 @@ def encode(dataset: Dataset) -> EncodedDataset:
         blocks.append(block)
         parent_columns.append(tuple(range(next_col, next_col + len(cats))))
         next_col += len(cats)
+    source: dict[str, str] = {}
+    for sub in subfeatures:
+        if (first := source.setdefault(sub.name, sub.parent_name)) != sub.parent_name:
+            raise SchemaError(
+                f"columns {first!r} and {sub.parent_name!r} both encode as {sub.name!r}"
+            )
     matrix = np.hstack(blocks)
     matrix.setflags(write=False)
     return EncodedDataset(

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import NumericsError
+from .errors import NumericsError, SchemaError
 from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, value_band
 
 
@@ -78,7 +78,7 @@ class DependenceConfig:
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise SchemaError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def _check_pair(x, y):

@@ -28,7 +28,7 @@ from .data import (
     write_json,
 )
 from .dependence import DependenceConfig, label_direction, quadratic_form
-from .errors import DataError, NumericsError
+from .errors import DataError, NumericsError, SchemaError
 
 DEFAULT_SUBSAMPLE = 2000
 DEFAULT_SEED = 42
@@ -147,11 +147,16 @@ def score_features(
     (`dependence.quadratic_form`), with u and a computed once from the
     labels. Every encoded column is scored, and a feature's score is the
     maximum over its block, ties going to the first column. No n x n
-    array is formed. Single-class labels score every column 0.
+    array is formed. Single-class labels score every column 0. An epsilon
+    with n^3 * epsilon past the largest float (from about 2.2e298 at
+    n = 2000) is a SchemaError: the two-valued form's denominator would
+    overflow, and every score would read 0 or divide by zero.
     """
     y = _check_labels(y)
     if y.size != encoded.n:
         raise ValueError(f"labels ({y.size}) and matrix ({encoded.n}) disagree")
+    if not np.isfinite(encoded.n**3 * float(config.epsilon)):  # the forms' largest product
+        raise SchemaError(f"epsilon = {config.epsilon:g} is too large for n = {encoded.n}")
     u, weight = label_direction(y, config)
 
     def score(c: int) -> float:
@@ -200,13 +205,13 @@ def detect(
     d = np.array([fs.score for fs in scores], dtype=np.float64)
     if isinstance(threshold, str):
         if threshold != "median":
-            raise ValueError(f"threshold must be 'median' or a number, got {threshold!r}")
+            raise SchemaError(f"threshold must be 'median' or a number, got {threshold!r}")
         t = float(np.median(d))
         mode = "median"
     else:
         t = float(threshold)
         if not np.isfinite(t):
-            raise ValueError(f"a fixed threshold must be finite, got {threshold!r}")
+            raise SchemaError(f"a fixed threshold must be finite, got {threshold!r}")
         mode = "fixed"
     selected = [fs for fs in scores if fs.candidate and fs.score >= t]
     echo = dict(config or {})
@@ -229,7 +234,7 @@ def subsample(dataset: Dataset, max_n: int = DEFAULT_SUBSAMPLE, seed: int = DEFA
     function of the seed.
     """
     if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
+        raise SchemaError(f"max_n must be at least 2, got {max_n}")
     n = dataset.n
     if n <= max_n:
         return dataset

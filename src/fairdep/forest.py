@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SchemaError
 
 DRAW_BLOCK = 64  # nodes per feature draw of a tree's random stream
 
@@ -43,7 +43,7 @@ class ForestConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
+            raise SchemaError(f"n_trees must be at least 1, got {self.n_trees}")
 
 
 class _Tree(NamedTuple):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SchemaError
 
 RBF = "rbf"
 LINEAR = "linear"
@@ -36,7 +36,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
+            raise SchemaError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
 
 
 def kernel_input(values) -> np.ndarray:

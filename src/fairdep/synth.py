@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BINARY, Column, Dataset, NUMERIC, Schema, dataset_from_arrays
+from .errors import SchemaError
 
 LABEL_NAME = "outcome"
 POSITIVE = "1"
@@ -34,9 +35,9 @@ class PlantedFeature:
 
     def __post_init__(self):
         if not 0.0 <= self.corruption <= 0.5:
-            raise ValueError(f"corruption must lie in [0, 0.5], got {self.corruption}")
+            raise SchemaError(f"corruption must lie in [0, 0.5], got {self.corruption}")
         if self.fraction is not None and not 0.0 < self.fraction < 1.0:
-            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
+            raise SchemaError(f"fraction must lie in (0, 1), got {self.fraction}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n < 10:
-            raise ValueError(f"n must be at least 10, got {self.n}")
+            raise SchemaError(f"n must be at least 10, got {self.n}")
         if not 0.0 < self.balance < 1.0:
-            raise ValueError(f"balance must lie in (0, 1), got {self.balance}")
+            raise SchemaError(f"balance must lie in (0, 1), got {self.balance}")
         if self.noise_binary < 0 or self.noise_numeric < 0:
-            raise ValueError("noise feature counts must be nonnegative")
+            raise SchemaError("noise feature counts must be nonnegative")
         object.__setattr__(self, "planted", tuple(self.planted))
 
 
@@ -101,7 +102,7 @@ def _planted_indicator(rng, label_ind: np.ndarray, planted: PlantedFeature, bala
         return np.where(flips, 1 - label_ind, label_ind)
     f, pi = planted.fraction, balance
     if abs(f - pi) > p + 1e-12:
-        raise ValueError(
+        raise SchemaError(
             f"fraction {f} unreachable with corruption {p} at balance {pi}: "
             f"needs |fraction - balance| <= corruption"
         )
@@ -109,7 +110,7 @@ def _planted_indicator(rng, label_ind: np.ndarray, planted: PlantedFeature, bala
     p_pos = (p + pi - f) / (2 * pi)
     p_neg = (p + f - pi) / (2 * (1 - pi))
     if p_pos > 1.0 or p_neg > 1.0:
-        raise ValueError(
+        raise SchemaError(
             f"fraction {f} with corruption {p} needs a per-label flip rate above 1 "
             f"at balance {pi}; lower the corruption or move the fraction"
         )

@@ -19,7 +19,7 @@ import numpy as np
 from .data import EncodedDataset, write_json
 from .dependence import DependenceConfig
 from .detector import DependenceReport, detect, score_features
-from .errors import DataError
+from .errors import DataError, SchemaError
 from .fairness import (
     MEASURE_KEYS,
     FairnessMeasures,
@@ -41,7 +41,7 @@ def stratified_folds(y, folds: int, seed: int = 0) -> list[np.ndarray]:
     """
     y = np.asarray(y).ravel()
     if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
+        raise SchemaError(f"need at least 2 folds, got {folds}")
     if y.size < folds:
         raise DataError(f"cannot split {y.size} rows into {folds} folds")
     rng = np.random.default_rng(seed)
@@ -221,9 +221,12 @@ def validate(
     """Fairness-vs-dependence pairing for every indicator subfeature.
 
     All subfeatures with a 0/1 column are evaluated, not only detected
-    ones; the point is the full dependence-to-disparity scatter. With
-    `exclude_sensitive`, the columns of detected sensitive features are
-    hidden from the classifier (the fairness split still uses them).
+    ones; the point is the full dependence-to-disparity scatter. Each
+    one's nocco is the report's subfeature score at its encoded column's
+    position, so `report` must list `encoded`'s subfeature names in
+    order (ValueError otherwise). With `exclude_sensitive`, the columns
+    of detected sensitive features are hidden from the classifier (the
+    fairness split still uses them).
 
     The classifier is `RandomForest` under its one protocol (bootstrap
     resamples, floor(sqrt(m)) features per split, trees grown to
@@ -234,6 +237,11 @@ def validate(
     The folds run in this process unless `fold_map` says otherwise; it
     is passed to `cross_validate`, whose docstring states the contract.
     """
+    # the report's scores, flattened, are in encoded-column order
+    names = [sub.name for sub in encoded.subfeatures]
+    if [name for fs in report.scores for name in fs.subfeature_names] != names:
+        raise ValueError("the dependence report must come from the same encoded dataset")
+    nocco = [d for fs in report.scores for d in fs.subfeature_scores]
     y = np.asarray(y).ravel()
     train_matrix = encoded.matrix
     excluded: list[str] = []
@@ -251,18 +259,9 @@ def validate(
 
     cv = cross_validate(train_matrix, y, folds=folds, forest=forest, seed=seed, fold_map=fold_map)
 
-    nocco: dict[str, float] = {}
-    for fs in report.scores:
-        for name, d in zip(fs.subfeature_names, fs.subfeature_scores):
-            nocco.setdefault(name, d)  # the first of equal names wins
     records = []
     for c in indicator_columns(encoded):
         sub = encoded.subfeatures[c]
-        if sub.name not in nocco:
-            raise ValueError(
-                f"dependence report does not cover subfeature {sub.name!r}; "
-                "it must come from the same encoded dataset"
-            )
         per_fold = tuple(
             fairness_measures(group_confusion(cv.predictions[idx], y[idx], encoded.matrix[idx, c]))
             for idx in cv.fold_test_indices
@@ -272,9 +271,7 @@ def validate(
         for key in MEASURE_KEYS:
             means[key], undefined[key] = _mean_defined([v[key] for v in values])
         records.append(
-            SubfeatureValidation(
-                sub.name, sub.parent_name, nocco[sub.name], per_fold, means, undefined
-            )
+            SubfeatureValidation(sub.name, sub.parent_name, nocco[c], per_fold, means, undefined)
         )
     spearman = {key: _spearman_or_none(records, key) for key in MEASURE_KEYS}
 

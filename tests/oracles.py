@@ -289,11 +289,16 @@ def _interpret_column(col: Column, cells: list[str]) -> np.ndarray:
 
 def _parse_floats(name: str, cells: list[str]) -> np.ndarray:
     try:
-        return np.asarray(cells, dtype=np.float64)
+        values = np.asarray(cells, dtype=np.float64)
     except ValueError:
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                raise DataError(f"column {name!r}: non-numeric value {cell!r}") from None
-        raise
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(f"column {name!r}: non-numeric value {cell!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"column {name!r}: non-finite value {cell!r}")
+    raise AssertionError("numpy rejected cells that float() accepts")

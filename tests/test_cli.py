@@ -9,8 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdep import ForestConfig, NumericsError
+from fairdep import ForestConfig, NumericsError, SchemaError
+from fairdep import cli as cli_module
 from fairdep import validation as validation_module
+from fairdep.dependence import DependenceConfig
+from fairdep.detector import FeatureScore, detect, subsample
+from fairdep.kernels import KernelSpec
+from fairdep.synth import PlantedFeature, SynthSpec, generate
 from fairdep.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -21,9 +26,10 @@ from fairdep.cli import (
     build_parser,
     main,
 )
-from fairdep.validation import validate, write_scatter_csv
+from fairdep.validation import stratified_folds, validate, write_scatter_csv
 
 REPO = Path(__file__).resolve().parents[1]
+_SCORES = [FeatureScore("a", "binary", True, ("a_1",), (0.5,), 0.5, 0)]
 
 
 @pytest.fixture
@@ -335,6 +341,130 @@ def test_linear_audit_of_large_magnitude_columns_succeeds(tmp_path):
     assert code == EXIT_OK
     doc = json.loads((out / "report.json").read_text())
     assert all(0.0 <= fs["d"] <= 1.0 for fs in doc["scores"])
+
+
+# every flag or schema value that exits 2 does so through SchemaError, with
+# no traceback, now that main no longer maps any ValueError to exit 2
+_CONFIG_ERRORS = [
+    ("audit", ["--epsilon", "-1"], "epsilon must be positive"),
+    ("audit", ["--epsilon", "nan"], "epsilon must be positive"),
+    ("audit", ["--max-n", "1"], "max_n must be at least 2"),
+    ("audit", ["--threshold=inf"], "finite"),
+    ("audit", ["--seed", "-1"], "--seed must be nonnegative"),
+    ("validate", ["--folds", "1"], "at least 2 folds"),
+    ("validate", ["--trees", "0"], "n_trees must be at least 1"),
+    ("validate", ["--seed", "-1"], "--seed must be nonnegative"),
+    ("synth", ["--n", "5"], "n must be at least 10"),
+    ("synth", ["--balance", "2"], "balance must lie in"),
+    ("synth", ["--planted", "0.1:2"], "fraction must lie in"),
+    ("synth", ["--seed", "-1"], "--seed must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message", _CONFIG_ERRORS, ids=[" ".join([c, *f]) for c, f, _ in _CONFIG_ERRORS]
+)
+def test_bad_settings_are_config_errors(tmp_path, synth_files, capsys, command, flags, message):
+    data, schema_path = synth_files
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command != "synth":
+        argv += ["--data", str(data), "--schema", str(schema_path)]
+    assert main(argv + flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and message in err
+
+
+def test_mistyped_schema_value_is_config_error(tmp_path, synth_files, capsys):
+    data, schema_path = synth_files
+    doc = json.loads(schema_path.read_text(encoding="utf-8"))
+    band = {"name": "band", "kind": "categorical", "categories": ["a", "b"], "bins": ["x"]}
+    doc["columns"].append(band)
+    bad = tmp_path / "bad.schema.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["audit", "--data", str(data), "--schema", str(bad), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "malformed schema document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["1e308", "1e302"])
+def test_epsilon_too_large_for_n_is_config_error(tmp_path, synth_files, capsys, epsilon):
+    # n^3 * epsilon overflows from about 1.3e301 at n = 240: 1e308 ended in a
+    # ZeroDivisionError, and 1e302 scored every column 0 and flagged them all
+    data, schema_path = synth_files
+    out = tmp_path / "o"
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(out)]
+    assert main(argv + ["--epsilon", epsilon]) == EXIT_CONFIG
+    assert f"epsilon = {float(epsilon):g} is too large for n = 240" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, synth_files, monkeypatch):
+    # a bug inside the pipeline is reported as itself, not as exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(cli_module, "audit_dataset", broken)
+    data, schema_path = synth_files
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
+    with pytest.raises(ValueError, match="an internal bug"):
+        main(argv)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_non_finite_cell_is_data_error_on_every_subsample_seed(tmp_path, synth_files, capsys, seed):
+    # the cell's row is drawn by few 60-row subsamples; the audit used to pass on the others
+    data, schema_path = synth_files
+    with data.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[101][rows[0].index("noise_num0")] = "nan"
+    bad = tmp_path / "nan.csv"
+    with bad.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    argv = ["audit", "--data", str(bad), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--max-n", "60", "--seed", str(seed)]) == EXIT_DATA
+    assert "column 'noise_num0': non-finite value 'nan'" in capsys.readouterr().err
+
+
+def test_colliding_encoded_names_are_config_error(tmp_path, capsys):
+    schema = {
+        "columns": [
+            {"name": "a", "kind": "categorical", "categories": ["b", "c"]},
+            {"name": "a_b", "kind": "numeric"},
+        ],
+        "label": {"name": "y", "positive": "1"},
+    }
+    schema_path = tmp_path / "s.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    data = tmp_path / "d.csv"
+    data.write_text("a,a_b,y\nb,0,1\nc,1,0\nb,1,1\nc,0,0\n", encoding="utf-8")
+    for command in ("audit", "encode"):
+        argv = [command, "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "columns 'a' and 'a_b' both encode as 'a_b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DependenceConfig(epsilon=-1.0),
+        lambda: KernelSpec("poly"),
+        lambda: ForestConfig(n_trees=0),
+        lambda: SynthSpec(n=5),
+        lambda: PlantedFeature(0.7),
+        lambda: generate(SynthSpec(planted=(PlantedFeature(0.1, 0.9),), balance=0.5)),
+        lambda: subsample(generate(SynthSpec())[0], max_n=1),
+        lambda: stratified_folds(np.array([1, -1, 1, -1]), 1),
+        lambda: detect(_SCORES, threshold=np.inf),
+        lambda: detect(_SCORES, threshold="mean"),
+    ],
+    ids=[
+        "DependenceConfig", "KernelSpec", "ForestConfig", "SynthSpec", "PlantedFeature",
+        "planted-indicator", "subsample", "stratified_folds", "detect-inf", "detect-mode",
+    ],
+)
+def test_setting_checks_raise_schema_error(build):
+    with pytest.raises(SchemaError):
+        build()
 
 
 def test_directory_path_is_config_error(tmp_path, synth_files, capsys):

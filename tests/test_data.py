@@ -64,6 +64,74 @@ def test_schema_from_malformed_document():
         Schema.from_dict({"columns": [{"name": "a"}], "label": {"name": "y", "positive": "1"}})
 
 
+def _doc(**column):
+    column = {"name": "a", "kind": "binary", **column}
+    return {"columns": [column], "label": {"name": "y", "positive": "1"}}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (_doc(candidate_sensitiv=True), "candidate_sensitiv"),
+        ({**_doc(), "label": {"name": "y", "positive": "1", "negative": "0"}}, "negative"),
+        ({**_doc(), "missing": ["?"]}, "missing"),
+    ],
+    ids=["column", "label", "top-level"],
+)
+def test_schema_rejects_unknown_keys(doc, key):
+    # a misspelled key was dropped without a word
+    with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
+        Schema.from_dict(doc)
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_candidate_sensitive_is_a_bool_or_absent(flag):
+    if flag is None:
+        assert Schema.from_dict(_doc()).columns[0].candidate_sensitive is None
+        return
+    # the string "false" was stored as a truthy value and flagged the column
+    with pytest.raises(SchemaError, match="candidate_sensitive must be true or false"):
+        Schema.from_dict(_doc(candidate_sensitive=flag))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("recode", ["a"], "recode must map strings to strings"),
+        ("recode", {"a": 1}, "recode must map strings to strings"),
+        ("categories", "ab", "categories must be a list"),
+        ("bins", 25, "bins must be a list"),
+        ("bins", ["x"], "malformed schema document: could not convert"),
+        ("name", 5, "column name must be a string"),
+    ],
+)
+def test_mistyped_column_fields_are_schema_errors(field, value, message):
+    column = {"name": "age", "kind": "categorical", "categories": ["x", "y"], field: value}
+    with pytest.raises(SchemaError, match=message):
+        Schema.from_dict({"columns": [column], "label": {"name": "y", "positive": "1"}})
+
+
+@pytest.mark.parametrize(
+    "doc", [[], "schema", {"columns": ["a"], "label": {"name": "y", "positive": "1"}}]
+)
+def test_schema_document_must_hold_objects(doc):
+    with pytest.raises(SchemaError, match="must be a JSON object"):
+        Schema.from_dict(doc)
+
+
+def test_encoded_names_must_be_unique():
+    # both encode as "a_b"; validate paired the numeric a_b with the indicator's score
+    schema = Schema(
+        columns=(Column("a", "categorical", categories=("b", "c")), Column("a_b", "numeric")),
+        label="y",
+        positive="1",
+    )
+    features = [np.array(["b", "c", "b", "c"], dtype=object), np.array([0.0, 1.0, 1.0, 0.0])]
+    ds = dataset_from_arrays(schema, features, [1, -1, 1, -1])
+    with pytest.raises(SchemaError, match="columns 'a' and 'a_b' both encode as 'a_b'"):
+        encode(ds)
+
+
 # ----------------------------------------------------------------- load
 
 
@@ -114,6 +182,48 @@ def test_load_non_numeric_cell(toy_schema):
     csv_text = "gender,ncrimes,age,recid\nmale,many,30-60,yes\nfemale,0,<30,no\n"
     with pytest.raises(DataError, match="non-numeric"):
         load_dataset(io.StringIO(csv_text), toy_schema)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", " NaN "])
+@pytest.mark.parametrize("kind", ["numeric", "binned"])
+def test_load_rejects_non_finite_cells(cell, kind):
+    # one bad cell among 300 rows: it used to pass unless a subsample drew its row,
+    # and a binned nan landed in the last bin
+    column = (
+        Column("x", "numeric")
+        if kind == "numeric"
+        else Column("x", "categorical", categories=("lo", "hi"), bins=(0.5,))
+    )
+    schema = Schema(columns=(column,), label="y", positive="1")
+    rows = [f"{i % 3},{i % 2}" for i in range(300)]
+    rows[137] = f"{cell},1"
+    text = "\n".join(["x,y"] + rows) + "\n"
+    with pytest.raises(DataError, match=f"column 'x': non-finite value {cell.strip()!r}"):
+        load_dataset(io.StringIO(text), schema)
+
+
+def test_first_bad_cell_in_row_order_wins():
+    schema = Schema(columns=(Column("x", "numeric"),), label="y", positive="1")
+    with pytest.raises(DataError, match="non-finite value 'inf'"):
+        load_dataset(io.StringIO("x,y\n1,1\ninf,0\nabc,1\n"), schema)
+    with pytest.raises(DataError, match="non-numeric value 'abc'"):
+        load_dataset(io.StringIO("x,y\n1,1\nabc,0\ninf,1\n"), schema)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_in_memory_numeric_cells_must_be_finite(value):
+    from fairdep import audit_dataset
+
+    schema = Schema(columns=(Column("x", "numeric"),), label="y", positive="1")
+    x = np.arange(300, dtype=np.float64) % 3
+    x[137] = value
+    y = np.where(np.arange(300) % 2 == 0, 1, -1)
+    # the kernel's own check saw the cell only on seeds that drew its row
+    for seed in range(20):
+        with pytest.raises(DataError, match=f"column 'x': non-finite value {float(value)!r}"):
+            audit_dataset(dataset_from_arrays(schema, [x], y), max_n=50, seed=seed)
+    with pytest.raises(DataError, match="non-finite"):
+        Dataset(schema=schema, features=(x,), y=y)
 
 
 def test_load_applies_recode_and_bins():

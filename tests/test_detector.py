@@ -6,6 +6,7 @@ from fairdep import (
     DependenceConfig,
     KernelSpec,
     Schema,
+    SchemaError,
     detect,
     encode,
     score_features,
@@ -354,3 +355,15 @@ def test_audit_dataset_end_to_end():
     assert "planted0_p00" in report.sensitive_features
     assert report.config["subsampled_to"] == 150
     assert report.config["kernel"] == "rbf"
+
+
+def test_epsilon_must_keep_n_cubed_epsilon_finite():
+    # n^3 * epsilon is the forms' largest product; past the largest float the
+    # two-valued denominator overflows and every score reads 0 or divides by zero
+    dataset, _ = small_planted_dataset(n=120)
+    encoded = encode(dataset)
+    limit = np.finfo(np.float64).max / 120**3
+    scores = score_features(encoded, dataset.y, DependenceConfig(epsilon=limit / 2))
+    assert all(np.isfinite(fs.score) for fs in scores)
+    with pytest.raises(SchemaError, match=r"epsilon = .* is too large for n = 120"):
+        score_features(encoded, dataset.y, DependenceConfig(epsilon=limit * 2))

@@ -29,6 +29,7 @@ def test_schema_files_parse(name):
     schema = Schema.from_json(SCHEMA_DIR / name)
     assert schema.columns
     assert schema.label
+    assert Schema.from_dict(schema.to_dict()) == schema
 
 
 def test_compas_schema_ingests_propublica_rows():

@@ -132,6 +132,26 @@ def test_nocco_column_echoes_report(validated):
         assert r.nocco == report.subfeature_score(r.name)
 
 
+@pytest.mark.parametrize("change", ["reordered", "dropped"])
+def test_validate_rejects_another_datasets_report(validated, change):
+    # a report naming every indicator, in another column order, used to be
+    # accepted and read by name
+    dataset, encoded, _, _ = validated
+    keep = list(reversed(range(dataset.m))) if change == "reordered" else list(range(1, dataset.m))
+    other = dataset_from_arrays(
+        Schema(
+            columns=tuple(dataset.schema.columns[j] for j in keep),
+            label=dataset.schema.label,
+            positive=dataset.schema.positive,
+        ),
+        [dataset.features[j] for j in keep],
+        dataset.y,
+    )
+    report = detect(score_features(encode(other), other.y))
+    with pytest.raises(ValueError, match="must come from the same encoded dataset"):
+        validate(encoded, dataset.y, report, folds=3, forest=ForestConfig(n_trees=2, seed=0))
+
+
 def test_strong_feature_shows_larger_disparity(validated):
     _, _, _, vrep = validated
     by_name = {r.name: r for r in vrep.records}
