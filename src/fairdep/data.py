@@ -16,17 +16,19 @@ half-open on the right, so bins=[25, 60] buckets values as x < 25,
 25 <= x < 60, x >= 60.
 
 `load_dataset` reads the CSV in blocks of `BLOCK_ROWS` records and
-transposes each block into columns, so no Python loop runs per row or
-per cell. Per block and column: the missing test is one pass over the
-stripped cells (a row mask is built only when a marker is present),
-numeric and binned columns are parsed by one float64 conversion of the
-kept cells, and binary, categorical and label cells are coded as
-int32 against a per-column table of distinct raw cells. Once every row
-is read, each distinct cell is stripped, recoded and checked once, and
-a column is its table indexed by its codes. The result and every error
-(type, message and precedence) are those of a row-by-row reader: a
-value error is raised only after the whole file has been read, so an
-earlier bad value never hides a later short row.
+transposes each block with one `zip`, so no Python loop runs per row or
+per cell. Numeric and binned columns are parsed first, by one float64
+conversion per block and column; a parse that succeeds with every
+value finite proves the block holds no missing marker there (see
+`load_dataset`). Binary, categorical and label columns, and numeric
+ones whose parse fails, look for markers among their distinct cells
+only, and a row mask is built only when one is found. Those distinct
+cells also code the column as int32 against a per-column table. Once
+every row is read, each distinct cell is stripped, recoded and checked
+once, and a column is its table indexed by its codes. The result and
+every error (type, message and precedence) are those of a row-by-row
+reader: a value error is raised only after the whole file has been
+read, so an earlier bad value never hides a later short row.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import compress, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -118,6 +119,8 @@ class Column:
             if self.kind != CATEGORICAL:
                 raise SchemaError(f"column {self.name!r}: bins apply to categorical columns only")
             object.__setattr__(self, "bins", tuple(float(b) for b in self.bins))
+            if not all(map(math.isfinite, self.bins)):
+                raise SchemaError(f"column {self.name!r}: bins must be finite")
             if list(self.bins) != sorted(self.bins):
                 raise SchemaError(f"column {self.name!r}: bins must be ascending")
             if len(self.categories) != len(self.bins) + 1:
@@ -139,7 +142,11 @@ def _known_keys(doc: dict, keys, where: str) -> dict:
 
 @dataclass(frozen=True)
 class Schema:
-    """Column declarations plus the label column and its positive value."""
+    """Column declarations plus the label column and its positive value.
+
+    `label` and `positive` are strings and `missing_values` a list (or
+    tuple) of strings, kept as a tuple.
+    """
 
     columns: tuple[Column, ...]
     label: str
@@ -148,6 +155,13 @@ class Schema:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
+        if not (isinstance(self.label, str) and isinstance(self.positive, str)):
+            raise SchemaError("label name and positive value must be strings")
+        if not isinstance(self.missing_values, (list, tuple)) or any(
+            not isinstance(m, str) for m in self.missing_values
+        ):
+            raise SchemaError("missing_values must be a list of strings")
+        object.__setattr__(self, "missing_values", tuple(self.missing_values))
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names in schema")
@@ -179,9 +193,9 @@ class Schema:
                     Column(**_known_keys(entry, keys, f"columns[{i}]"))
                     for i, entry in enumerate(doc["columns"])
                 ),
-                label=str(doc["label"]["name"]),
-                positive=str(doc["label"]["positive"]),
-                missing_values=tuple(doc.get("missing_values", DEFAULT_MISSING)),
+                label=doc["label"]["name"],
+                positive=doc["label"]["positive"],
+                missing_values=doc.get("missing_values", DEFAULT_MISSING),
             )
         except SchemaError:
             raise
@@ -331,12 +345,21 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     are dropped and counted in `dropped_rows`. Cell whitespace is
     stripped before interpretation.
 
-    Records are read in blocks of `BLOCK_ROWS` and transposed. Every
-    per-cell step (the missing mask, the float parse, the coding) is one
-    C-level call per block and column; a block holding a missing marker
-    strips its distinct cells to build the row mask. Strip, recode, the
-    category checks and the label test run once per distinct kept cell of
-    the whole file.
+    Records are read in blocks of `BLOCK_ROWS` and transposed by one
+    `zip`. Binary, categorical and label columns take each block's
+    distinct cells once; the markers are found among them, and the same
+    set extends the column's code table. Numeric and binned columns are
+    parsed first. When that float64 conversion succeeds and every value
+    is finite, the block holds no marker in the column, provided no
+    marker itself parses as a finite number (checked once per schema):
+    numpy converts each cell with float(), which accepts only
+    surrounding whitespace that str.strip also removes, so a cell whose
+    stripped text is a marker either fails to parse or gives a
+    non-finite value. A failed parse (or a finite marker) sends the
+    column to the distinct-cell search. A block holding a marker builds
+    the row mask and compresses its cells; parsed columns are masked.
+    Strip, recode, the category checks and the label test run once per
+    distinct kept cell of the whole file.
     Blank records are skipped but keep their place in the row numbers.
 
     DataError precedence, as in a row-by-row reader:
@@ -369,11 +392,12 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             if header.count(name) > 1:
                 raise DataError(f"duplicate column: {name!r} repeats in CSV header")
         positions = [header.index(name) for name in needed]
-        fields = [itemgetter(p) for p in positions]
         width = max(positions) + 1
         missing = set(schema.missing_values)
         # parsed as float64 per block, or (the label too) coded per distinct cell
         floats = [col.kind == NUMERIC or col.bins is not None for col in schema.columns] + [False]
+        # a finite parse rules markers out only if no marker parses as finite
+        parse_first = all(_finite_floats([marker]) is None for marker in missing)
         parts: list[list[np.ndarray]] = [[] for _ in needed]
         index: list[dict[str, int]] = [{} for _ in needed]  # raw cell -> code
         errors: list[DataError | None] = [None for _ in needed]
@@ -387,30 +411,45 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             row_no += len(block)
             if not lengths.all():
                 block = list(filter(None, block))  # blank records
-            # transposed one needed column at a time: no row tuples are built
-            columns = [list(map(field, block)) for field in fields]
-            drop = None
-            for cells in columns:
-                if missing.isdisjoint(map(str.strip, cells)):  # the usual case
+                if not block:
                     continue
-                marks = {c for c in set(cells) if c.strip() in missing}
-                hit = np.fromiter(map(marks.__contains__, cells), bool, len(cells))
-                drop = hit if drop is None else drop | hit
+            transposed = list(islice(zip(*block), width))
+            columns = [transposed[p] for p in positions]
+            del block, transposed  # two blocks alive at once raise the peak RSS
+            parsed: list[np.ndarray | None] = [None for _ in needed]
+            distinct: list[set[str] | None] = [None for _ in needed]
+            drop = None
+            for j, cells in enumerate(columns):
+                if floats[j] and parse_first:
+                    parsed[j] = _finite_floats(cells)
+                    if parsed[j] is not None:
+                        continue
+                distinct[j] = set(cells)
+                marks = {c for c in distinct[j] if c.strip() in missing}
+                if marks:
+                    hit = np.fromiter(map(marks.__contains__, cells), bool, len(cells))
+                    drop = hit if drop is None else drop | hit
             if drop is not None:
                 dropped += int(np.count_nonzero(drop))
-                keep = (~drop).tolist()
-                columns = [list(compress(cells, keep)) for cells in columns]
+                keep = ~drop
+                kept = keep.tolist()
+                columns = [
+                    cells if parsed[j] is not None else list(compress(cells, kept))
+                    for j, cells in enumerate(columns)
+                ]
+                parsed = [None if v is None else v[keep] for v in parsed]
+                distinct = [None for _ in needed]  # also counted the dropped cells
             for j, cells in enumerate(columns):
                 if not floats[j]:
-                    parts[j].append(_code(index[j], cells))
+                    parts[j].append(_code(index[j], cells, distinct[j]))
+                elif parsed[j] is not None:
+                    parts[j].append(parsed[j])
                 elif errors[j] is None:
                     try:
                         parts[j].append(_parse_floats(needed[j], cells))
                     except DataError as exc:
                         errors[j] = exc
-            # free this block's cells before the next is read; two blocks alive
-            # at once raise the process's peak RSS
-            del block, columns
+            del columns, parsed, distinct
         _raise_malformed(row_no, bad)
 
         n = sum(map(len, parts[-1]))
@@ -473,9 +512,12 @@ def _raise_malformed(row_no: int, bad: list) -> None:
         raise DataError(f"row {row_no}: malformed CSV record: {bad[0]}")
 
 
-def _code(index: dict[str, int], cells) -> np.ndarray:
-    """int32 codes of the cells, extending `index` with cells it lacks."""
-    for cell in set(cells).difference(index):
+def _code(index: dict[str, int], cells, distinct: set[str] | None = None) -> np.ndarray:
+    """int32 codes of the cells, extending `index` with cells it lacks.
+
+    `distinct`, when given, is `set(cells)`, already built by the caller.
+    """
+    for cell in (set(cells) if distinct is None else distinct).difference(index):
         index[cell] = len(index)
     return np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
 
@@ -518,6 +560,19 @@ def _categories(col: Column, values) -> tuple[str, ...]:
     return col.categories
 
 
+def _finite_floats(cells) -> np.ndarray | None:
+    """The cells as float64 by one conversion, or None unless it succeeds and all are finite.
+
+    numpy converts each str with float(), so this accepts a cell exactly
+    when float() gives it a finite value.
+    """
+    try:
+        values = np.asarray(cells, dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _parse_floats(name: str, cells) -> np.ndarray:
     """The cells as finite float64; DataError names the first bad one in row order.
 
@@ -528,12 +583,9 @@ def _parse_floats(name: str, cells) -> np.ndarray:
     same surrounding whitespace as str.strip() except the separators
     \\x1c-\\x1f.
     """
-    try:
-        values = np.asarray(cells, dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+    values = _finite_floats(cells)
+    if values is not None:
+        return values
     parsed = []
     for cell in map(str.strip, cells):
         try:

@@ -112,6 +112,28 @@ def test_mistyped_column_fields_are_schema_errors(field, value, message):
 
 
 @pytest.mark.parametrize(
+    "top, message",
+    [
+        ({"missing_values": "NA"}, "missing_values must be a list of strings"),
+        ({"missing_values": ["?", None]}, "missing_values must be a list of strings"),
+        ({"label": {"name": 1, "positive": "1"}}, "label name and positive value must be"),
+        ({"label": {"name": "y", "positive": True}}, "label name and positive value must be"),
+    ],
+)
+def test_mistyped_schema_fields_are_schema_errors(top, message):
+    # "NA" was read as the two markers 'N' and 'A', and true as the positive value 'True'
+    with pytest.raises(SchemaError, match=message):
+        Schema.from_dict({**_doc(), **top})
+
+
+@pytest.mark.parametrize("edge", [float("nan"), float("inf"), float("-inf")])
+def test_bins_must_be_finite(edge):
+    # a NaN edge passed the ascending check and put every value in the first bin
+    with pytest.raises(SchemaError, match="bins must be finite"):
+        Column("age", "categorical", categories=("lo", "hi"), bins=(edge,))
+
+
+@pytest.mark.parametrize(
     "doc", [[], "schema", {"columns": ["a"], "label": {"name": "y", "positive": "1"}}]
 )
 def test_schema_document_must_hold_objects(doc):
@@ -286,7 +308,8 @@ def test_short_row_outranks_an_earlier_value_error(monkeypatch, toy_schema):
 # cases load and the rest fail in every documented way.
 _DIFF_COLUMNS = {
     "num": (Column("num", "numeric"),
-            ["1", "2.5", "-0", "1e3"], [" 3 ", "nan", "\x1c4", "abc", "", "?", " NA "]),
+            ["1", "2.5", "-0", "1e3", "-1"],
+            [" 3 ", "nan", "\x1c4", "abc", "", "?", " NA ", " -1 "]),
     "cat": (Column("cat", "categorical", categories=("a", "b", "c"), recode={"x": "a", "y": "b"}),
             ["a", "b", "c", "x"], [" a ", "y ", "z", "a,b", "?"]),
     "dflt": (Column("dflt", "categorical", categories=("p", "q", "other"), recode={"r": "p"},
@@ -314,6 +337,8 @@ def _csv_case(draw):
         columns=tuple(_DIFF_COLUMNS[name][0] for name in names),
         label="y",
         positive=draw(st.sampled_from(["1", "0"])),
+        # markers that float() rejects, one it parses as finite, one as nan
+        missing_values=draw(st.sampled_from([data.DEFAULT_MISSING, ("?", "-1"), ("", "nan")])),
     )
     header = draw(st.permutations(names + ["y"] + draw(st.sampled_from([[], ["extra"]]))))
     rows = []
@@ -369,6 +394,35 @@ def test_block_loader_matches_rowwise_reference(case, block):
     else:
         assert not isinstance(got, tuple), got
         _assert_same_dataset(got, want)
+
+
+@pytest.mark.parametrize(
+    "markers, cells",
+    [(("?", "-1"), ["-1", " -1 "]), (("", "nan"), ["nan", " nan "])],
+    ids=["finite", "non-finite"],
+)
+def test_numeric_cells_that_are_markers(markers, cells):
+    # a marker that parses as a number must still drop its row
+    schema = Schema(
+        columns=(Column("x", "numeric"), Column("b", "binary")),
+        label="y",
+        positive="1",
+        missing_values=markers,
+    )
+    rows = ["1,u,1", f"{cells[0]},v,0", "2,v,0", f'"{cells[1]}",u,1', "3,u,0"]
+    text = "x,b,y\n" + "\n".join(rows) + "\n"
+    ds = load_dataset(io.StringIO(text), schema)
+    assert ds.dropped_rows == 2 and ds.features[0].tolist() == [1.0, 2.0, 3.0]
+    _assert_same_dataset(ds, rowwise_load_dataset(io.StringIO(text), schema))
+
+
+def test_block_of_blank_records(monkeypatch, toy_schema):
+    # the second block holds only the two blank lines, and zip(*[]) gives no columns
+    monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+    csv_text = "gender,ncrimes,age,recid\nmale,2,30-60,yes\nfemale,0,<30,no\n\n\nmale,1,>60,no\n"
+    ds = load_dataset(io.StringIO(csv_text), toy_schema)
+    assert ds.features[0].tolist() == ["male", "female", "male"]
+    assert ds.y.tolist() == [1, -1, -1]
 
 
 def test_load_peak_memory_per_kept_cell(tmp_path):
