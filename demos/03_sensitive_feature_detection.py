@@ -30,7 +30,7 @@ dataset, truth = generate(spec)
 print(f"dataset: n={dataset.n}, planted corruption levels "
       f"{[p.corruption for p in spec.planted]}, plus noise features\n")
 
-encoded, y, report = audit_dataset(dataset, seed=0)
+encoded, report = audit_dataset(dataset, seed=0)  # encoded.y holds the labels
 print(report.table())
 
 print("\nreading the table:")

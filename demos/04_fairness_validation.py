@@ -25,12 +25,11 @@ spec = replace(default_validation_spec(seed=7), n=1200)
 dataset, _ = generate(spec)
 encoded = encode(dataset)
 
-scores = score_features(encoded, dataset.y)
+scores = score_features(encoded)  # against encoded.y, the labels
 report = detect(scores, config={"kernel": "rbf"})
 
 vrep = validate(
     encoded,
-    dataset.y,
     report,
     folds=10,
     forest=ForestConfig(n_trees=40, seed=7),

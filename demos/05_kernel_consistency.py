@@ -15,7 +15,7 @@ from fairdep.validation import kernel_consistency
 
 spec = replace(default_validation_spec(seed=3), n=1000)
 dataset, _ = generate(spec)
-kc = kernel_consistency(encode(dataset), dataset.y)
+kc = kernel_consistency(encode(dataset))
 
 print(f"{'feature':<16} {'d (rbf)':>10} {'d (linear)':>11}")
 for fs_rbf, fs_lin in zip(kc.report_rbf.scores, kc.report_linear.scores):

@@ -116,16 +116,14 @@ def _parse_planted(raw: str) -> tuple[PlantedFeature, ...]:
     return tuple(out)
 
 
-def _load(args) -> tuple:
+def _load(args):
     schema_path = Path(args.schema)
     if not schema_path.is_file():
         raise SchemaError(f"schema file not found: {schema_path}")
     data_path = Path(args.data)
     if not data_path.is_file():
         raise SchemaError(f"data file not found: {data_path}")
-    schema = Schema.from_json(schema_path)
-    dataset = load_dataset(data_path, schema)
-    return schema, dataset
+    return load_dataset(data_path, Schema.from_json(schema_path))
 
 
 def _outdir(args) -> Path:
@@ -140,10 +138,9 @@ def _outdir(args) -> Path:
 def _run_audit_pipeline(args):
     from dataclasses import replace as dc_replace
 
-    _, dataset = _load(args)
     config = DependenceConfig(KernelSpec(args.kernel), args.epsilon)
-    encoded, y, report = audit_dataset(
-        dataset,
+    encoded, report = audit_dataset(
+        _load(args),
         config=config,
         threshold=_parse_threshold(args.threshold),
         max_n=args.max_n,
@@ -158,13 +155,12 @@ def _run_audit_pipeline(args):
             "command": args.command,
         }
     )
-    report = dc_replace(report, config=echo)
-    return encoded, y, report
+    return encoded, dc_replace(report, config=echo)
 
 
 def cmd_audit(args) -> int:
     out = _outdir(args)
-    _, _, report = _run_audit_pipeline(args)
+    _, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
     table = report.table()
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
@@ -227,7 +223,7 @@ def _windowed_map(pool, window: int, fn, *iterables):
 
 def cmd_validate(args) -> int:
     out = _outdir(args)
-    encoded, y, report = _run_audit_pipeline(args)
+    encoded, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
     from concurrent.futures import BrokenExecutor
 
@@ -235,7 +231,6 @@ def cmd_validate(args) -> int:
         with _fold_map(args.folds) as fold_map:
             vreport = run_validation(
                 encoded,
-                y,
                 report,
                 folds=args.folds,
                 forest=ForestConfig(n_trees=args.trees, seed=args.seed),
@@ -258,10 +253,10 @@ def cmd_validate(args) -> int:
 
 def cmd_encode(args) -> int:
     out = _outdir(args)
-    _, dataset = _load(args)
+    dataset = _load(args)
     encoded = encode(dataset)
     path = out / "encoded.csv"
-    write_encoded_csv(encoded, dataset.y, path, negative=dataset.negative_display)
+    write_encoded_csv(encoded, path, negative=dataset.negative_display)
     print(f"wrote {path} ({encoded.n} rows x {encoded.width} columns)")
     return EXIT_OK
 

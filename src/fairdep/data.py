@@ -41,7 +41,7 @@ from itertools import compress, islice
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, signs
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -145,7 +145,9 @@ class Schema:
     """Column declarations plus the label column and its positive value.
 
     `label` and `positive` are strings and `missing_values` a list (or
-    tuple) of strings, kept as a tuple.
+    tuple) of strings, kept as a tuple. A marker with surrounding
+    whitespace could never match, as the loader strips each cell before
+    comparing it, so it is a SchemaError.
     """
 
     columns: tuple[Column, ...]
@@ -161,6 +163,9 @@ class Schema:
             not isinstance(m, str) for m in self.missing_values
         ):
             raise SchemaError("missing_values must be a list of strings")
+        for marker in self.missing_values:
+            if marker != marker.strip():
+                raise SchemaError(f"missing value {marker!r} has surrounding whitespace")
         object.__setattr__(self, "missing_values", tuple(self.missing_values))
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
@@ -248,10 +253,7 @@ class Dataset:
             raise DataError(f"need at least 2 samples, got {n}")
         if any(col.shape[0] != n for col in self.features):
             raise DataError("feature columns and labels have mismatched lengths")
-        values = set(np.unique(self.y).tolist())
-        if not values <= {-1, 1}:
-            raise DataError(f"labels must lie in {{-1, +1}}, got {sorted(values)}")
-        if len(values) < 2:
+        if np.unique(signs(self.y)).size < 2:
             raise DataError("degenerate labels: only one class present")
         for col, cells in zip(self.schema.columns, self.features):
             floats = np.asarray(cells, dtype=np.float64) if col.kind == NUMERIC else 0.0
@@ -295,12 +297,22 @@ class Subfeature:
 
 @dataclass(frozen=True)
 class EncodedDataset:
-    """Extended matrix after one-hot encoding, with provenance maps."""
+    """Extended matrix after one-hot encoding, its labels, and provenance maps.
+
+    `y` holds one label in {-1, +1} per matrix row (DataError otherwise);
+    a single class is allowed.
+    """
 
     schema: Schema
     matrix: np.ndarray
+    y: np.ndarray
     subfeatures: tuple[Subfeature, ...]
     parent_columns: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "y", signs(self.y))
+        if self.y.size != self.matrix.shape[0]:
+            raise DataError(f"labels ({self.y.size}) and matrix ({self.matrix.shape[0]}) disagree")
 
     @property
     def n(self) -> int:
@@ -604,9 +616,11 @@ def encode(dataset: Dataset) -> EncodedDataset:
     declared order; binary columns one 0/1 column, the indicator of the
     second category of the pair the Dataset settled from the whole
     column; numeric columns are copied unchanged. Each categorical row
-    block sums to exactly 1. An encoded column is named `name` (numeric)
-    or `name_category`; SchemaError when two source columns give one
-    name (a categorical `a` with category `b` and a column `a_b`).
+    block sums to exactly 1: a cell equal to none of its column's
+    categories is a DataError naming the first such value. An encoded
+    column is named `name` (numeric) or `name_category`; SchemaError when
+    two source columns give one name (a categorical `a` with category `b`
+    and a column `a_b`). The labels are the dataset's.
     """
     blocks: list[np.ndarray] = []
     subfeatures: list[Subfeature] = []
@@ -620,10 +634,12 @@ def encode(dataset: Dataset) -> EncodedDataset:
             parent_columns.append((next_col,))
             next_col += 1
             continue
+        block = np.column_stack([values == cat for cat in col.categories]).astype(np.float64)
+        if (undeclared := values[block.sum(axis=1) == 0]).size:
+            raise DataError(f"column {col.name!r}: undeclared value {undeclared.tolist()[0]!r}")
         cats = col.categories[1:] if col.kind == BINARY else col.categories
-        block = np.zeros((dataset.n, len(cats)), dtype=np.float64)
+        block = block[:, -len(cats) :]  # cats ends the categories
         for k, cat in enumerate(cats):
-            block[:, k] = values == cat
             subfeatures.append(Subfeature(f"{col.name}_{cat}", col.name, next_col + k))
         blocks.append(block)
         parent_columns.append(tuple(range(next_col, next_col + len(cats))))
@@ -639,6 +655,7 @@ def encode(dataset: Dataset) -> EncodedDataset:
     return EncodedDataset(
         schema=dataset.schema,
         matrix=matrix,
+        y=dataset.y,
         subfeatures=tuple(subfeatures),
         parent_columns=tuple(parent_columns),
     )
@@ -679,17 +696,20 @@ def dataset_from_arrays(
     return dataset
 
 
-def write_encoded_csv(encoded: EncodedDataset, y, path, negative: str | None = None) -> None:
+def write_encoded_csv(encoded: EncodedDataset, path, negative: str | None = None) -> None:
     """Write the extended matrix with `parent_category` headers plus the label."""
-    y = np.asarray(y)
-    neg = negative if negative is not None else f"not_{encoded.schema.positive}"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([s.name for s in encoded.subfeatures] + [encoded.schema.label])
-        for i in range(encoded.n):
-            row = [_format_cell(v) for v in encoded.matrix[i]]
-            row.append(encoded.schema.positive if y[i] == 1 else neg)
-            writer.writerow(row)
+    columns = (map(_format_cell, encoded.matrix[:, c].tolist()) for c in range(encoded.width))
+    header = [s.name for s in encoded.subfeatures]
+    _write_csv(path, encoded.schema, header, columns, encoded.y, negative)
+
+
+def write_dataset_csv(dataset: Dataset, path, negative: str | None = None) -> None:
+    """Write a Dataset back out as a raw CSV (header + original cells)."""
+    columns = (
+        map(_format_cell if col.kind == NUMERIC else str, cells.tolist())
+        for col, cells in zip(dataset.schema.columns, dataset.features)
+    )
+    _write_csv(path, dataset.schema, dataset.schema.names, columns, dataset.y, negative)
 
 
 def _format_cell(v: float) -> str:
@@ -698,19 +718,17 @@ def _format_cell(v: float) -> str:
     return repr(float(v))
 
 
-def write_dataset_csv(dataset: Dataset, path, negative: str | None = None) -> None:
-    """Write a Dataset back out as a raw CSV (header + original cells)."""
-    neg = negative if negative is not None else f"not_{dataset.schema.positive}"
+def _write_csv(path, schema: Schema, header, columns, y, negative: str | None) -> None:
+    """One CSV row per label: the columns' cells, then `positive` or `negative`.
+
+    `negative` defaults to `not_<positive>`.
+    """
+    neg = negative if negative is not None else f"not_{schema.positive}"
+    labels = [schema.positive if v == 1 else neg for v in y.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.schema.names) + [dataset.schema.label])
-        for i in range(dataset.n):
-            row = []
-            for j, col in enumerate(dataset.schema.columns):
-                v = dataset.features[j][i]
-                row.append(_format_cell(v) if col.kind == NUMERIC else str(v))
-            row.append(dataset.schema.positive if dataset.y[i] == 1 else neg)
-            writer.writerow(row)
+        writer.writerow([*header, schema.label])
+        writer.writerows(zip(*columns, labels))
 
 
 def write_json(path, doc) -> None:

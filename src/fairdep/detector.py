@@ -127,20 +127,11 @@ def is_candidate(kind: str, flag: bool | None) -> bool:
     return kind in (BINARY, CATEGORICAL)
 
 
-def _check_labels(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64).ravel()
-    values = set(np.unique(y).tolist())
-    if not values <= {-1.0, 1.0}:
-        raise ValueError(f"labels must lie in {{-1, +1}}, got {sorted(values)}")
-    return y
-
-
 def score_features(
     encoded: EncodedDataset,
-    y,
     config: DependenceConfig = DependenceConfig(),
 ) -> tuple[FeatureScore, ...]:
-    """Dependence scores for every feature and subfeature.
+    """Dependence scores for every feature and subfeature against `encoded.y`.
 
     The label's operator is rank one, R_y = a uu^T, so each column's
     score is a * u^T R_x u, computed on the column's distinct values
@@ -152,12 +143,9 @@ def score_features(
     n = 2000) is a SchemaError: the two-valued form's denominator would
     overflow, and every score would read 0 or divide by zero.
     """
-    y = _check_labels(y)
-    if y.size != encoded.n:
-        raise ValueError(f"labels ({y.size}) and matrix ({encoded.n}) disagree")
     if not np.isfinite(encoded.n**3 * float(config.epsilon)):  # the forms' largest product
         raise SchemaError(f"epsilon = {config.epsilon:g} is too large for n = {encoded.n}")
-    u, weight = label_direction(y, config)
+    u, weight = label_direction(encoded.y, config)
 
     def score(c: int) -> float:
         try:
@@ -261,17 +249,17 @@ def audit_dataset(
     max_n: int = DEFAULT_SUBSAMPLE,
     seed: int = DEFAULT_SEED,
     standardize: bool = False,
-) -> tuple[EncodedDataset, np.ndarray, DependenceReport]:
+) -> tuple[EncodedDataset, DependenceReport]:
     """Full detection pipeline: subsample, encode, score, threshold.
 
-    Returns the encoded (possibly subsampled) dataset, its label vector,
+    Returns the encoded (possibly subsampled) dataset, labels included,
     and the report; the report's config echoes every effective setting.
     """
     working = subsample(dataset, max_n=max_n, seed=seed)
     encoded = encode(working)
     if standardize:
         encoded = standardize_numeric(encoded)
-    scores = score_features(encoded, working.y, config)
+    scores = score_features(encoded, config)
     echo = {
         "kernel": config.kernel.kind,
         "epsilon": config.epsilon,
@@ -283,4 +271,4 @@ def audit_dataset(
         "dropped_rows": dataset.dropped_rows,
     }
     report = detect(scores, threshold=threshold, config=echo)
-    return encoded, working.y, report
+    return encoded, report

@@ -1,11 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the label check.
 
 The split mirrors how failures surface to a caller: schema/configuration
 problems, bad data content, and numerical breakdowns each get their own
 class, and the CLI maps exactly these three to its exit codes (2, 3 and
 4). Any other exception is a bug in the package and ends the command
 with a traceback rather than passing for a configuration error.
+
+`signs` is the one check of the {-1, +1} coding of labels and
+predictions. It lives here, beside `DataError`, so that `fairdep.forest`
+can use it without loading `fairdep.data`.
 """
+
+import numpy as np
 
 
 class FairdepError(Exception):
@@ -24,13 +30,24 @@ class SchemaError(FairdepError, ValueError):
     """
 
 
-class DataError(FairdepError):
+class DataError(FairdepError, ValueError):
     """Dataset content violates the declared schema or a precondition.
 
     Among them: a cell that is not a finite number in a numeric or binned
-    column.
+    column, a cell outside its column's categories, and labels or
+    predictions outside {-1, +1} (see `signs`). Also a ValueError, so
+    callers that catch ValueError keep working.
     """
 
 
 class NumericsError(FairdepError):
     """A numerical routine failed (non-SPD solve, non-finite input)."""
+
+
+def signs(values, name: str = "labels") -> np.ndarray:
+    """`values` as a flat array; DataError unless each one is -1 or +1."""
+    values = np.asarray(values).ravel()
+    found = set(np.unique(values).tolist())
+    if not found <= {-1, 1}:
+        raise DataError(f"{name} must lie in {{-1, +1}}, got {sorted(found)}")
+    return values

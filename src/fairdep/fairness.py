@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EncodedDataset
+from .errors import signs
 
 MEASURE_KEYS = ("f_pe", "f_ep", "f_eo", "f_oae")
 
@@ -64,17 +65,13 @@ class FairnessMeasures:
         }
 
 
-def _check_signs(name: str, v: np.ndarray) -> np.ndarray:
-    values = set(np.unique(v).tolist())
-    if not values <= {-1.0, 1.0}:
-        raise ValueError(f"{name} must lie in {{-1, +1}}, got {sorted(values)}")
-    return v
-
-
 def group_confusion(predictions, labels, group_indicator) -> GroupConfusion:
-    """Exact confusion counts conditioned on group membership."""
-    pred = _check_signs("predictions", np.asarray(predictions, dtype=np.float64).ravel())
-    lab = _check_signs("labels", np.asarray(labels, dtype=np.float64).ravel())
+    """Exact confusion counts conditioned on group membership.
+
+    `errors.signs` checks the predictions and the labels.
+    """
+    pred = signs(predictions, "predictions")
+    lab = signs(labels)
     g = np.asarray(group_indicator, dtype=np.float64).ravel()
     if not (pred.size == lab.size == g.size):
         raise ValueError(

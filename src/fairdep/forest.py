@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, signs
 
 DRAW_BLOCK = 64  # nodes per feature draw of a tree's random stream
 
@@ -200,10 +200,7 @@ class RandomForest:
             raise ValueError(f"X {X.shape} and y {y.shape} disagree")
         if X.shape[1] == 0:
             raise ValueError("X has no feature columns")
-        classes = set(np.unique(y).tolist())
-        if not classes <= {-1, 1}:
-            raise ValueError(f"labels must lie in {{-1, +1}}, got {sorted(classes)}")
-        if len(classes) < 2:
+        if np.unique(signs(y)).size < 2:
             raise DataError("training split contains a single class")
         if np.isnan(X).any():
             raise ValueError("X contains NaN")

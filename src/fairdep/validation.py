@@ -210,7 +210,6 @@ def _spearman_or_none(records, key: str) -> float | None:
 
 def validate(
     encoded: EncodedDataset,
-    y,
     report: DependenceReport,
     folds: int = 10,
     forest: ForestConfig = ForestConfig(),
@@ -220,13 +219,13 @@ def validate(
 ) -> ValidationReport:
     """Fairness-vs-dependence pairing for every indicator subfeature.
 
-    All subfeatures with a 0/1 column are evaluated, not only detected
-    ones; the point is the full dependence-to-disparity scatter. Each
-    one's nocco is the report's subfeature score at its encoded column's
-    position, so `report` must list `encoded`'s subfeature names in
-    order (ValueError otherwise). With `exclude_sensitive`, the columns
-    of detected sensitive features are hidden from the classifier (the
-    fairness split still uses them).
+    The classifier learns `encoded.y`. All subfeatures with a 0/1 column
+    are evaluated, not only detected ones; the point is the full
+    dependence-to-disparity scatter. Each one's nocco is the report's
+    subfeature score at its encoded column's position, so `report` must
+    list `encoded`'s subfeature names in order (ValueError otherwise).
+    With `exclude_sensitive`, the columns of detected sensitive features
+    are hidden from the classifier (the fairness split still uses them).
 
     The classifier is `RandomForest` under its one protocol (bootstrap
     resamples, floor(sqrt(m)) features per split, trees grown to
@@ -242,7 +241,7 @@ def validate(
     if [name for fs in report.scores for name in fs.subfeature_names] != names:
         raise ValueError("the dependence report must come from the same encoded dataset")
     nocco = [d for fs in report.scores for d in fs.subfeature_scores]
-    y = np.asarray(y).ravel()
+    y = encoded.y
     train_matrix = encoded.matrix
     excluded: list[str] = []
     if exclude_sensitive:
@@ -345,7 +344,7 @@ def _flip_gap(fs, other_argmax: int) -> float:
     return (top - other) / top
 
 
-def kernel_consistency(encoded: EncodedDataset, y) -> KernelConsistency:
+def kernel_consistency(encoded: EncodedDataset) -> KernelConsistency:
     """Score under both kernels and compare rankings and detected sets.
 
     Each kernel scores with the default `DependenceConfig` (epsilon 1e-6)
@@ -353,7 +352,7 @@ def kernel_consistency(encoded: EncodedDataset, y) -> KernelConsistency:
     """
     reports = {}
     for kind in (RBF, LINEAR):
-        scores = score_features(encoded, y, DependenceConfig(KernelSpec(kind)))
+        scores = score_features(encoded, DependenceConfig(KernelSpec(kind)))
         reports[kind] = detect(scores, config={"kernel": kind})
     r_rbf, r_lin = reports[RBF], reports[LINEAR]
     d_rbf = [fs.score for fs in r_rbf.scores]

@@ -149,7 +149,7 @@ def test_criterion_5_detector_monotonicity():
     start = time.perf_counter()
     for seed in range(10):
         dataset, _ = generate(default_detector_spec(seed=seed))
-        scores = score_features(encode(dataset), dataset.y)
+        scores = score_features(encode(dataset))
         planted = [s for s in scores if s.name.startswith("planted")]
         values = [s.score for s in planted]
         assert all(a > b for a, b in zip(values, values[1:])), (
@@ -172,11 +172,10 @@ def validated_suite():
     dataset, _ = generate(spec)
     encoded = encode(dataset)
     start = time.perf_counter()
-    scores = score_features(encoded, dataset.y)
+    scores = score_features(encoded)
     report = detect(scores, config={"kernel": RBF})
     vrep = validate(
         encoded,
-        dataset.y,
         report,
         folds=10,
         forest=ForestConfig(n_trees=100, seed=7),
@@ -199,7 +198,7 @@ def test_criterion_7_qualitative_benchmarks():
     checked = []
 
     compas = _load_benchmark("compas")
-    _, _, report = audit_dataset(compas, max_n=2000, seed=42)
+    _, report = audit_dataset(compas, max_n=2000, seed=42)
     t = report.threshold
     by_name = {s.name: s for s in report.scores}
     assert by_name["sex"].score < t, "sex should fall below the median"
@@ -211,7 +210,7 @@ def test_criterion_7_qualitative_benchmarks():
     checked.append("compas")
 
     taiwan = _load_benchmark("taiwan_credit")
-    _, _, report = audit_dataset(taiwan, max_n=2000, seed=42)
+    _, report = audit_dataset(taiwan, max_n=2000, seed=42)
     t = report.threshold
     by_name = {s.name: s for s in report.scores}
     for feature in ("SEX", "EDUCATION", "MARRIAGE"):
@@ -219,7 +218,7 @@ def test_criterion_7_qualitative_benchmarks():
     checked.append("taiwan_credit")
 
     lsac = _load_benchmark("lsac")
-    _, _, report = audit_dataset(lsac, max_n=2000, seed=42)
+    _, report = audit_dataset(lsac, max_n=2000, seed=42)
     t = report.threshold
     by_name = {s.name: s for s in report.scores}
     assert by_name["race1"].score >= t, "race should clear the median"
@@ -245,11 +244,11 @@ def test_criterion_8_kernel_consistency(validated_suite):
     for seed in range(10):
         spec = replace(base, n=1000, seed=seed)
         dataset, _ = generate(spec)
-        kc = kernel_consistency(encode(dataset), dataset.y)
+        kc = kernel_consistency(encode(dataset))
         _assert_consistency(kc)
 
-    encoded, y, _, _, _ = validated_suite
-    kc_full = kernel_consistency(encoded, y)
+    encoded, _, _, _, _ = validated_suite
+    kc_full = kernel_consistency(encoded)
     _assert_consistency(kc_full)
 
     compas_path = DATA_DIR / "compas.csv"
@@ -257,7 +256,7 @@ def test_criterion_8_kernel_consistency(validated_suite):
     if compas_path.exists():
         compas = load_dataset(compas_path, Schema.from_json(SCHEMA_DIR / "compas.json"))
         small = subsample(compas, max_n=2000, seed=42)
-        kc_compas = kernel_consistency(encode(small), small.y)
+        kc_compas = kernel_consistency(encode(small))
         _assert_consistency(kc_compas)
         note = "synthetic suite and COMPAS"
 

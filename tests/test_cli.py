@@ -522,10 +522,9 @@ def _in_process_outputs(argv):
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir()
-    encoded, y, report = _run_audit_pipeline(args)
+    encoded, report = _run_audit_pipeline(args)
     vreport = validate(
         encoded,
-        y,
         report,
         folds=args.folds,
         forest=ForestConfig(n_trees=args.trees, seed=args.seed),

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -124,6 +127,14 @@ def test_mistyped_schema_fields_are_schema_errors(top, message):
     # "NA" was read as the two markers 'N' and 'A', and true as the positive value 'True'
     with pytest.raises(SchemaError, match=message):
         Schema.from_dict({**_doc(), **top})
+
+
+@pytest.mark.parametrize("marker", [" ?", "? ", "\tNA"])
+def test_padded_missing_marker_is_a_schema_error(marker):
+    # cells are stripped before the comparison, so " ?" never matched a "?"
+    # cell, which then failed as an undeclared category
+    with pytest.raises(SchemaError, match=re.escape(f"missing value {marker!r} has surrounding")):
+        Schema.from_dict({**_doc(), "missing_values": [marker]})
 
 
 @pytest.mark.parametrize("edge", [float("nan"), float("inf"), float("-inf")])
@@ -593,6 +604,52 @@ def test_direct_dataset_rejects_non_string_binary_cells(cells):
         Dataset(schema=schema, features=(cells,), y=np.array([1, -1, 1, -1]))
 
 
+@pytest.mark.parametrize(
+    "column, cells, bad",
+    [
+        (Column("c", "categorical", categories=("a", "b")), ["a", "zzz", "b", "a"], "zzz"),
+        (Column("c", "binary", categories=("a", "b")), ["a", "b", "q", "b"], "q"),
+    ],
+    ids=["categorical", "binary"],
+)
+def test_encode_rejects_undeclared_values(column, cells, bad):
+    # a Dataset built directly checks no declared categories: 'zzz' encoded
+    # as an all-zero indicator row and 'q' as the pair's first value
+    schema = Schema(columns=(column,), label="y", positive="1")
+    cells = np.array(cells, dtype=object)
+    ds = Dataset(schema=schema, features=(cells,), y=np.array([1, -1, 1, -1]))
+    with pytest.raises(DataError, match=f"column 'c': undeclared value '{bad}'"):
+        encode(ds)
+
+
+# ---------------------------------------------------------------- labels
+
+
+def test_dataset_labels_must_be_signs(toy_dataset):
+    with pytest.raises(DataError, match=r"labels must lie in \{-1, \+1\}, got \[0, 1\]"):
+        replace(toy_dataset, y=np.array([1, 0, 0]))
+    assert issubclass(DataError, ValueError)  # callers catching ValueError keep working
+
+
+def test_encoded_dataset_checks_its_labels(toy_dataset):
+    # validate once trained on the first rows of a longer matrix against
+    # labels from another dataset, without an error
+    enc = encode(toy_dataset)
+    np.testing.assert_array_equal(enc.y, toy_dataset.y)
+    with pytest.raises(DataError, match=r"labels \(2\) and matrix \(3\) disagree"):
+        replace(enc, y=enc.y[:2])
+    with pytest.raises(DataError, match=r"labels must lie in \{-1, \+1\}, got \[0.0, 1.0\]"):
+        replace(enc, y=np.array([1.0, 0.0, 0.0]))
+    assert replace(enc, y=np.ones(3)).y.tolist() == [1, 1, 1]  # one class is allowed
+    np.testing.assert_array_equal(standardize_numeric(enc).y, enc.y)
+
+
+def test_one_label_coding_check_in_source():
+    sources = sorted(Path(data.__file__).parent.glob("*.py"))
+    hits = [p.name for p in sources for _ in range(p.read_text().count("must lie in {"))]
+    assert hits == ["errors.py"]
+
+
 def test_standardize_touches_only_numeric(toy_dataset):
     enc = encode(toy_dataset)
     std = standardize_numeric(enc)
@@ -604,7 +661,7 @@ def test_standardize_touches_only_numeric(toy_dataset):
 def test_write_encoded_csv_round_trips_through_loader(tmp_path, toy_dataset):
     enc = encode(toy_dataset)
     path = tmp_path / "enc.csv"
-    write_encoded_csv(enc, toy_dataset.y, path)
+    write_encoded_csv(enc, path)
     header = path.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["gender_male", "gender_female", "ncrimes"]
     all_numeric = Schema(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def fs(name, score, subs=None, candidate=True):
 def test_label_equal_feature_scores_highest():
     dataset, _ = small_planted_dataset()
     encoded = encode(dataset)
-    scores = score_features(encoded, dataset.y)
+    scores = score_features(encoded)
     by_name = {s.name: s.score for s in scores}
     assert max(by_name, key=by_name.get) == "planted0_p00"
 
@@ -71,7 +73,7 @@ def test_constant_subfeature_scores_zero():
         [np.full(40, 3.0), np.array(["1" if v == 1 else "0" for v in y], dtype=object)],
         y,
     )
-    scores = score_features(encode(ds), y)
+    scores = score_features(encode(ds))
     assert scores[0].score == pytest.approx(0.0, abs=1e-12)
     assert scores[1].score > 0.9
 
@@ -88,7 +90,7 @@ def test_categorical_scoring_takes_max_over_subfeatures():
         positive="1",
     )
     ds = dataset_from_arrays(schema, [cat], y)
-    (score,) = score_features(encode(ds), y)
+    (score,) = score_features(encode(ds))
     assert score.subfeature_names[score.argmax] == "grp_hit"
     assert score.score == max(score.subfeature_scores)
     assert len(score.subfeature_scores) == 3
@@ -111,7 +113,7 @@ def test_binary_feature_scored_once_and_coding_invariant():
                 positive="1",
             )
             ds = dataset_from_arrays(schema, [raw, raw], y)
-            binary, categorical = score_features(encode(ds), y, DependenceConfig(KernelSpec(kind)))
+            binary, categorical = score_features(encode(ds), DependenceConfig(KernelSpec(kind)))
             scores.append(binary.score)
             # a two-category feature's indicators are complements
             assert len(categorical.subfeature_scores) == 2
@@ -132,16 +134,14 @@ def test_score_features_annotates_failing_column():
     broken = enc.matrix.copy()
     broken[1, 0] = np.inf
     broken.setflags(write=False)
-    from dataclasses import replace
-
     enc = replace(enc, matrix=broken)
     with pytest.raises(Exception, match="bad"):
-        score_features(enc, ds.y)
+        score_features(enc)
 
 
 def test_scores_are_nonnegative():
     dataset, _ = small_planted_dataset(seed=3)
-    scores = score_features(encode(dataset), dataset.y)
+    scores = score_features(encode(dataset))
     assert all(s.score >= 0 for s in scores)
     assert all(min(s.subfeature_scores) >= 0 for s in scores)
 
@@ -150,7 +150,8 @@ def test_scores_are_nonnegative():
 @pytest.mark.parametrize("kind", [RBF, LINEAR])
 def test_single_class_labels_score_zero(kind):
     dataset, _ = small_planted_dataset(seed=4)
-    scores = score_features(encode(dataset), np.ones(dataset.n), DependenceConfig(KernelSpec(kind)))
+    encoded = replace(encode(dataset), y=np.ones(dataset.n))
+    scores = score_features(encoded, DependenceConfig(KernelSpec(kind)))
     assert all(d == 0.0 for s in scores for d in s.subfeature_scores)
 
 
@@ -165,7 +166,7 @@ def test_scoring_memory_stays_within_four_grams(kind):
     config = DependenceConfig(KernelSpec(kind))
     tracemalloc.start()
     try:
-        score_features(encoded, dataset.y, config)
+        score_features(encoded, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -321,7 +322,7 @@ def test_undeclared_binary_pair_survives_every_subsample():
     assert ds.schema.columns[0].categories == ("no", "yes")
     missed = 0
     for seed in range(10):
-        encoded, _, _ = audit_dataset(ds, max_n=2000, seed=seed)
+        encoded, _ = audit_dataset(ds, max_n=2000, seed=seed)
         assert encoded.schema.columns[0].categories == ("no", "yes")
         assert encoded.subfeatures[0].name == "flag_yes"
         missed += not encoded.column(0).any()
@@ -343,15 +344,15 @@ def test_planted_scores_decrease_with_corruption():
             seed=seed,
         )
         dataset, _ = generate(spec)
-        scores = score_features(encode(dataset), dataset.y)
+        scores = score_features(encode(dataset))
         planted = [s.score for s in scores if s.name.startswith("planted")]
         assert all(a > b for a, b in zip(planted, planted[1:]))
 
 
 def test_audit_dataset_end_to_end():
     dataset, _ = small_planted_dataset(seed=5, n=200)
-    encoded, y, report = audit_dataset(dataset, max_n=150, seed=0)
-    assert encoded.n == 150 and y.size == 150
+    encoded, report = audit_dataset(dataset, max_n=150, seed=0)
+    assert encoded.n == 150 and encoded.y.size == 150
     assert "planted0_p00" in report.sensitive_features
     assert report.config["subsampled_to"] == 150
     assert report.config["kernel"] == "rbf"
@@ -363,7 +364,7 @@ def test_epsilon_must_keep_n_cubed_epsilon_finite():
     dataset, _ = small_planted_dataset(n=120)
     encoded = encode(dataset)
     limit = np.finfo(np.float64).max / 120**3
-    scores = score_features(encoded, dataset.y, DependenceConfig(epsilon=limit / 2))
+    scores = score_features(encoded, DependenceConfig(epsilon=limit / 2))
     assert all(np.isfinite(fs.score) for fs in scores)
     with pytest.raises(SchemaError, match=r"epsilon = .* is too large for n = 120"):
-        score_features(encoded, dataset.y, DependenceConfig(epsilon=limit * 2))
+        score_features(encoded, DependenceConfig(epsilon=limit * 2))

@@ -251,5 +251,7 @@ def test_indicator_columns_match_per_column_unique(kinds, n, seed):
     rng = np.random.default_rng(seed)
     matrix = np.column_stack([COLUMN_KINDS[kind](rng, n) for kind in kinds])
     # indicator_columns reads only the matrix
-    enc = EncodedDataset(schema=None, matrix=matrix, subfeatures=(), parent_columns=())
+    enc = EncodedDataset(
+        schema=None, matrix=matrix, y=np.ones(n), subfeatures=(), parent_columns=()
+    )
     assert indicator_columns(enc) == unique_indicator_columns(matrix)

@@ -89,10 +89,12 @@ def test_noise_features_give_chance_level_accuracy(spawn_map):
 @pytest.mark.parametrize("module", ["fairdep.forest", "fairdep.__main__"])
 def test_worker_imports_load_no_scipy(module):
     # a validation worker imports fairdep.forest to unpickle fit_predict,
-    # and the `fairdep` script's workers import fairdep.__main__ again
+    # and the `fairdep` script's workers import fairdep.__main__ again;
+    # neither loads scipy or the data layer
     code = (
         f"import sys, {module}; "
-        "sys.exit(' '.join(m for m in sys.modules if m.startswith('scipy')) or None)"
+        "sys.exit(' '.join(m for m in sys.modules "
+        "if m.startswith('scipy') or m == 'fairdep.data') or None)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -231,8 +233,8 @@ def test_trees_and_cv_predictions_match_golden_hashes():
     assert digest.hexdigest() == "d3b638e714296245d2fa7117aad20332c4edffb2eb5f4046ca682999a015bcdd"
 
     dataset, _ = generate(default_validation_spec(7))
-    encoded, y, _ = audit_dataset(dataset, DependenceConfig(KernelSpec(LINEAR)))
-    predictions = cross_validate(encoded.matrix, y).predictions.astype(np.int64)
+    encoded, _ = audit_dataset(dataset, DependenceConfig(KernelSpec(LINEAR)))
+    predictions = cross_validate(encoded.matrix, encoded.y).predictions.astype(np.int64)
     assert (
         hashlib.sha256(predictions.tobytes()).hexdigest()
         == "8af609e1be949bd4c7c45757ff705aebf0969d35936dd7589c94a0ddcf568046"

@@ -34,11 +34,10 @@ def suite_dataset(seed=0, n=300):
 def validated():
     dataset = suite_dataset()
     encoded = encode(dataset)
-    scores = score_features(encoded, dataset.y)
+    scores = score_features(encoded)
     report = detect(scores, config={"kernel": "rbf"})
     vrep = validate(
         encoded,
-        dataset.y,
         report,
         folds=5,
         forest=ForestConfig(n_trees=30, seed=0),
@@ -147,9 +146,9 @@ def test_validate_rejects_another_datasets_report(validated, change):
         [dataset.features[j] for j in keep],
         dataset.y,
     )
-    report = detect(score_features(encode(other), other.y))
+    report = detect(score_features(encode(other)))
     with pytest.raises(ValueError, match="must come from the same encoded dataset"):
-        validate(encoded, dataset.y, report, folds=3, forest=ForestConfig(n_trees=2, seed=0))
+        validate(encoded, report, folds=3, forest=ForestConfig(n_trees=2, seed=0))
 
 
 def test_strong_feature_shows_larger_disparity(validated):
@@ -186,7 +185,6 @@ def test_exclude_sensitive_drops_columns(validated):
     dataset, encoded, report, _ = validated
     vrep = validate(
         encoded,
-        dataset.y,
         report,
         folds=4,
         forest=ForestConfig(n_trees=10, seed=0),
@@ -217,8 +215,8 @@ def test_undefined_folds_counted():
         y,
     )
     encoded = encode(ds)
-    report = detect(score_features(encoded, y), config={})
-    vrep = validate(encoded, y, report, folds=4, forest=ForestConfig(n_trees=10, seed=0), seed=0)
+    report = detect(score_features(encoded), config={})
+    vrep = validate(encoded, report, folds=4, forest=ForestConfig(n_trees=10, seed=0), seed=0)
     rec = next(r for r in vrep.records if r.name.startswith("always"))
     assert all(rec.means[k] is None for k in rec.means)
     assert all(rec.undefined[k] == 4 for k in rec.undefined)
@@ -230,7 +228,7 @@ def test_undefined_folds_counted():
 def test_kernel_consistency_on_planted_suite():
     dataset = suite_dataset(seed=2, n=400)
     encoded = encode(dataset)
-    kc = kernel_consistency(encoded, dataset.y)
+    kc = kernel_consistency(encoded)
     assert kc.spearman_features >= 0.9
     assert kc.only_rbf == () and kc.only_linear == ()
     doc = kc.to_dict()
@@ -243,7 +241,7 @@ def test_kernel_consistency_single_candidate():
     y = np.where(rng.random(50) < 0.5, 1, -1)
     raw = np.where(rng.random(50) < 0.5, "1", "0").astype(object)
     ds = dataset_from_arrays(schema, [raw], y)
-    kc = kernel_consistency(encode(ds), y)
+    kc = kernel_consistency(encode(ds))
     assert kc.sensitive_rbf == kc.sensitive_linear
 
 
@@ -300,13 +298,13 @@ def test_kernel_consistency_constant_scores_give_nan(monkeypatch):
     encoded = encode(dataset)
     real = validation.score_features
 
-    def flat(encoded, y, cfg):
+    def flat(encoded, cfg):
         # every feature scores the same under the linear kernel
-        scores = real(encoded, y, cfg)
+        scores = real(encoded, cfg)
         if cfg.kernel.kind != "linear":
             return scores
         return [replace(fs, score=0.5) for fs in scores]
 
     monkeypatch.setattr(validation, "score_features", flat)
-    kc = kernel_consistency(encoded, dataset.y)
+    kc = kernel_consistency(encoded)
     assert np.isnan(kc.spearman_features)
