@@ -222,6 +222,7 @@ def _windowed_map(pool, window: int, fn, *iterables):
 
 
 def cmd_validate(args) -> int:
+    forest = ForestConfig(n_trees=args.trees, seed=args.seed)
     out = _outdir(args)
     encoded, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
@@ -233,7 +234,7 @@ def cmd_validate(args) -> int:
                 encoded,
                 report,
                 folds=args.folds,
-                forest=ForestConfig(n_trees=args.trees, seed=args.seed),
+                forest=forest,
                 seed=args.seed,
                 exclude_sensitive=args.exclude_sensitive_from_training,
                 fold_map=fold_map,
@@ -293,6 +294,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # encode takes no seed
             raise SchemaError(f"--seed must be nonnegative, got {args.seed}")
+        if getattr(args, "folds", 2) < 2:  # only validate takes folds
+            raise SchemaError(f"need at least 2 folds, got {args.folds}")
         return COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"error (config): {exc}", file=sys.stderr)

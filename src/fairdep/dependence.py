@@ -8,10 +8,18 @@ For centered Gram matrices G_x = H K_x H and G_y = H K_y H:
 The regularized operator R has eigenvalues lam/(lam + n*eps) in [0, 1),
 which makes nocco insensitive to the scale of the observations; eps
 defaults to 1e-6. R is obtained from a Cholesky solve of the SPD matrix
-G + n*eps*I, never from a general-purpose inverse. `hsic`, `nocco` and
-`regularized_operator` form these n x n matrices; they are the dense
-reference. Under the linear kernel they lose accuracy on large-magnitude
-columns without raising, so the detector uses the closed form below.
+G + n*eps*I, never from a general-purpose inverse. `hsic` and
+`regularized_operator` form these n x n matrices, and so does `nocco`
+under the RBF kernel; they are the dense reference.
+
+Under the linear kernel G = zz^T for the centered column z = x - mean(x),
+so R = zz^T / (z^T z + n*eps) is rank one and
+
+    nocco(x, y) = (z_x^T z_y)^2 / ((z_x^T z_x + n*eps)(z_y^T z_y + n*eps)),
+
+which `nocco` takes in O(n) with no n x n array. A dense R of a linear
+Gram loses the n*eps ridge to rounding on large-magnitude columns
+(entries around 1e9) without raising; the closed form does not.
 
 A two-valued label has a rank-one R_y = a uu^T, so nocco(x, y) is
 a * u^T R_x u, and the detector scores a column x by that quadratic
@@ -89,23 +97,6 @@ def _check_pair(x, y):
     return x, y
 
 
-def _canonical_indicator(v: np.ndarray) -> np.ndarray:
-    """Map a 0/1 column and its complement onto one representative.
-
-    Centered Grams of b and 1-b coincide for both kernels, so the
-    dependence of an indicator is complement-invariant; routing both
-    codings through the same arithmetic makes the dense `nocco`'s
-    equality exact instead of rounding-level (`quadratic_form` is exact
-    by construction). Non-indicator vectors pass through.
-    """
-    u = np.unique(v)
-    if u.size == 2 and u[0] == 0.0 and u[1] == 1.0:
-        ones = int(v.sum())
-        if 2 * ones > v.size or (2 * ones == v.size and v[0] == 1.0):
-            return 1.0 - v
-    return v
-
-
 _NOT_PD = "Gram plus ridge is not positive definite; the kernel matrix is broken (non-PSD input?)"
 
 
@@ -134,8 +125,9 @@ def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
     (entries around 1e9) breaks that: the result drifts without any error
     being raised (31 % off the exact value on an Adult-shaped capital-gain
     column, 35 % with the column centered first: the rank-one G + n*eps*I
-    is that badly conditioned), or the factor fails. The detector uses
-    the closed form of `quadratic_form` instead, 1.6e-14 off there.
+    is that badly conditioned), or the factor fails. Given only K, this
+    function cannot know the rank; `nocco` takes the linear kernel's
+    rank-one closed form instead, exact there.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -154,15 +146,17 @@ def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:
     """Normalized dependence tr(R_x R_y) of two equal-length vectors.
 
     Symmetric in (x, y), nonnegative, and bounded by min(tr R_x, tr R_y).
-    0/1 indicator inputs are complement-canonicalized, so an indicator
-    and its complement score identically to the last bit. A dense
-    reference built on `regularized_operator`: under the linear kernel it
-    loses accuracy on large-magnitude columns without raising, where the
-    detector's closed form (`quadratic_form`) stays exact.
+    Linear kernel: each R is zz^T / (z^T z + n*eps) for its centered
+    column z, so the trace is
+    (z_x^T z_y)^2 / ((z_x^T z_x + n*eps)(z_y^T z_y + n*eps)), in O(n),
+    with no n x n array and no factorization. RBF kernel: the dense
+    reference, the inner product of two `regularized_operator`s.
     """
     x, y = _check_pair(x, y)
-    x = _canonical_indicator(x)
-    y = _canonical_indicator(y)
+    if config.kernel.kind == LINEAR:
+        ridge = x.size * config.epsilon
+        zx, zy = (v - v.mean() for v in (kernel_input(x), kernel_input(y)))
+        return float(zx @ zy) ** 2 / ((float(zx @ zx) + ridge) * (float(zy @ zy) + ridge))
     rx = regularized_operator(gram(x, config.kernel), config.epsilon)
     ry = regularized_operator(gram(y, config.kernel), config.epsilon)
     return float(np.vdot(rx, ry))
@@ -214,8 +208,6 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     n = x.size
     ridge = n * config.epsilon
     lo, hi = x.min(), x.max()
-    if lo == hi:
-        return 0.0
     top = x == hi
     if np.count_nonzero(top | (x == lo)) == n:  # two values, found without a sort
         d = hi - lo

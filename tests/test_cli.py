@@ -372,6 +372,8 @@ def test_bad_settings_are_config_errors(tmp_path, synth_files, capsys, command, 
     assert main(argv + flags) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error (config): ") and message in err
+    # a bad setting stops the run before any work, so nothing is written
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_mistyped_schema_value_is_config_error(tmp_path, synth_files, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -183,6 +183,50 @@ def test_nocco_upper_bound_by_operator_traces():
             assert nocco(x, y, cfg) <= min(np.trace(rx), np.trace(ry)) + 1e-9
 
 
+def _exact_linear_nocco(x, y, epsilon):
+    # (z_x^T z_y)^2 / ((||z_x||^2 + n eps)(||z_y||^2 + n eps)) in exact rationals
+    from fractions import Fraction
+
+    def centered(v):
+        vs = [Fraction(a) for a in v.tolist()]
+        mean = sum(vs) / len(vs)
+        return [a - mean for a in vs]
+
+    zx, zy = centered(x), centered(y)
+    ridge = len(zx) * Fraction(epsilon)
+    xy = sum(a * b for a, b in zip(zx, zy))
+    return float(xy * xy / ((sum(a * a for a in zx) + ridge) * (sum(b * b for b in zy) + ridge)))
+
+
+def test_linear_nocco_exact_at_adult_magnitude():
+    # capital-gain-like: mostly 0, a few amounts of 1e3 to 1e5 that track
+    # the label; a dense R of this column loses the n*eps ridge to rounding
+    rng = np.random.default_rng(11)
+    n = 1000
+    gain = rng.random(n) < 0.08
+    x = np.where(gain, np.round(rng.lognormal(np.log(8000), 1.0, n)).clip(1e3, 1e5), 0.0)
+    y = np.where((gain & (rng.random(n) < 0.7)) | (rng.random(n) < 0.2), 1.0, -1.0)
+    want = _exact_linear_nocco(x, y, EPS)
+    assert want > 0.01
+    assert nocco(x, y, LIN) == pytest.approx(want, rel=1e-12)
+    assert nocco(y, x, LIN) == pytest.approx(want, rel=1e-12)
+
+
+def test_linear_nocco_forms_no_gram(monkeypatch):
+    from fairdep import dependence
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x n Gram or operator was formed")
+
+    monkeypatch.setattr(dependence, "gram", refuse)
+    monkeypatch.setattr(dependence, "regularized_operator", refuse)
+    rng = np.random.default_rng(21)
+    x, y = rng.standard_normal(50), rng.standard_normal(50)
+    assert nocco(x, y, LIN) == pytest.approx(_exact_linear_nocco(x, y, EPS), rel=1e-12)
+    with pytest.raises(AssertionError, match="n x n"):  # the RBF dense reference still does
+        nocco(x, y, GAUSS)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     arrays(np.float64, 12, elements=st.floats(-20, 20)),
@@ -198,11 +242,16 @@ def test_nocco_nonnegative(x, y, kind):
     st.integers(3, 40),
     st.integers(0, 2**32 - 1),
     st.sampled_from(
-        [(shape, kind) for shape in ("indicator", "count", "normal") for kind in (RBF, LINEAR)]
-        # the dense linear path itself loses these to rounding, so rbf only
-        + [("wide", RBF), ("distinct", RBF), ("money", RBF)]
+        [
+            (shape, kind)
+            for shape in ("indicator", "count", "normal", "wide", "distinct", "money")
+            for kind in (RBF, LINEAR)
+        ]
     ),
 )
+# the dense linear trace misses this draw by 5.1e-10 (0.013157876309
+# against an exact 0.0131578768179), the closed form by under 1e-17
+@example(3, 129137, ("count", LINEAR))
 def test_label_quadratic_form_matches_dense_trace(n, seed, case):
     shape, kind = case
     rng = np.random.default_rng(seed)
@@ -220,6 +269,14 @@ def test_label_quadratic_form_matches_dense_trace(n, seed, case):
     }[shape]()
     cfg = DependenceConfig(KernelSpec(kind), EPS)
     u, a = label_direction(y, cfg)
+    if kind == LINEAR:
+        # the dense linear trace loses the ridge to rounding (5.1e-10 off on
+        # the pinned draw, far more on the wide shapes), so the linear cases
+        # take the exact rational form; the closed form missed it by at most
+        # 4.4e-16 absolute over 9,000 draws, 1,500 per shape
+        want = a * _exact_linear_form(x, u, EPS)
+        assert a * quadratic_form(x, u, cfg) == pytest.approx(want, rel=1e-11, abs=1e-14)
+        return
     dense = np.vdot(
         regularized_operator(gram(x, cfg.kernel), EPS), regularized_operator(gram(y, cfg.kernel), EPS)
     )

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -73,9 +74,12 @@ def test_constant_subfeature_scores_zero():
         [np.full(40, 3.0), np.array(["1" if v == 1 else "0" for v in y], dtype=object)],
         y,
     )
-    scores = score_features(encode(ds))
-    assert scores[0].score == pytest.approx(0.0, abs=1e-12)
-    assert scores[1].score > 0.9
+    for kind in (RBF, LINEAR):
+        scores = score_features(encode(ds), DependenceConfig(KernelSpec(kind)))
+        assert scores[0].score == 0.0
+        # report.json would print a negative zero as -0.0
+        assert math.copysign(1.0, scores[0].score) == 1.0, kind
+        assert scores[1].score > 0.9
 
 
 def test_categorical_scoring_takes_max_over_subfeatures():
