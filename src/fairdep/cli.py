@@ -177,19 +177,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# macOS system frameworks are not fork-safe and Windows has no fork
+FOLD_START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
+
+
 @contextlib.contextmanager
 def _fold_map(folds: int):
     """An order-keeping map that runs validation folds in parallel.
 
-    min(folds, usable CPUs) spawned workers; each imports what unpickling
-    `forest.fit_predict` needs, numpy and the forest, plus the caller's
-    main module again. Under the `fairdep` script or `python -m fairdep`
-    that main module is the small `fairdep.__main__`, and a worker holds
-    about 41 MB, so a 2-vCPU run holds three processes. With one worker
-    this is the builtin `map` and no process starts. The pool lives here
-    and not in the library, because a script that called the library
-    without an `if __name__ == "__main__":` guard would start it again in
-    every worker. A fold that raises drops the folds not yet started.
+    min(folds, usable CPUs) workers, started by `FOLD_START_METHOD`. With
+    one worker this is the builtin `map` and no process starts. A fold
+    that raises drops the folds not yet started.
+
+    On Linux the workers are forked, so each has numpy and the forest
+    loaded already and starts its first fold at once; a 2-vCPU run holds
+    three processes and starts no resource tracker. The fork is safe:
+    - with a fork context, `ProcessPoolExecutor` forks every worker at
+      the first submit, before it starts its manager thread (CPython
+      gh-90622);
+    - the command's only other OS threads are the OpenBLAS pools of
+      numpy and scipy, which OpenBLAS's own `pthread_atfork` handlers
+      stop before the fork and restart on the next BLAS call;
+    - a worker runs only `forest.fit_predict`, which calls no BLAS or
+      LAPACK routine.
+    Python 3.12 and later count the BLAS threads and emit a
+    DeprecationWarning ("This process ... is multi-threaded, use of
+    fork() may lead to deadlocks in the child"), which the default
+    warning filters hide.
+
+    Elsewhere the workers are spawned: each imports numpy and the forest
+    to unpickle `fit_predict`, plus the caller's main module again, which
+    the `fairdep` script and `python -m fairdep` keep small. The pool
+    lives here and not in the library, because a script that called the
+    library without an `if __name__ == "__main__":` guard would start it
+    again in every spawned worker.
     """
     workers = min(folds, _usable_cpus())
     if workers <= 1:
@@ -198,7 +219,8 @@ def _fold_map(folds: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    context = multiprocessing.get_context(FOLD_START_METHOD)
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         yield functools.partial(_windowed_map, pool, workers + 1)
     finally:

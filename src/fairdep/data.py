@@ -732,7 +732,12 @@ def _write_csv(path, schema: Schema, header, columns, y, negative: str | None) -
 
 
 def write_json(path, doc) -> None:
-    """Write `doc` as UTF-8 JSON indented by two, ending in a newline."""
+    """Write `doc` as UTF-8 JSON indented by two, ending in a newline.
+
+    NaN and infinities raise `ValueError`, since standard JSON has no such
+    values; callers write an undefined value as None (`null`). The text is
+    built before the file is opened, so a refused document writes nothing.
+    """
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

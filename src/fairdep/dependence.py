@@ -53,6 +53,11 @@ rank one, so there
 u^T R_x u = (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x), in O(n)
 and without a factorization.
 
+Every linear-kernel form is unchanged when x is divided by a power of
+two 2^e and n*eps by 2^2e. Such a division is exact, so these forms are
+computed on x / 2^e with max |x| < 2^e (never scaling up): the bits of a
+finite result stay, and no square overflows at any finite magnitude.
+
 A column with two distinct values a < b, counts c_0, c_1 and sums s_0,
 s_1 of u over their rows has a rank-one centered Gram under any kernel:
 (g/n) c_0 c_1 times a unit projector, g = K(a,a) + K(b,b) - 2K(a,b),
@@ -142,6 +147,17 @@ def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
     return (R + R.T) / 2.0
 
 
+def _scaled_down(x: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+    """x / 2^e and ridge / 2^2e, for the least e >= 0 with max |x| < 2^e.
+
+    A linear-kernel form is unchanged by that scaling, which is exact, so
+    a finite form keeps its bits; on the scaled x, whose entries lie in
+    (-1, 1), no square or sum of squares overflows. x is never scaled up.
+    """
+    e = max(int(np.frexp(np.abs(x).max())[1]), 0)
+    return np.ldexp(x, -e), float(np.ldexp(ridge, -2 * e))
+
+
 def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:
     """Normalized dependence tr(R_x R_y) of two equal-length vectors.
 
@@ -149,14 +165,16 @@ def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:
     Linear kernel: each R is zz^T / (z^T z + n*eps) for its centered
     column z, so the trace is
     (z_x^T z_y)^2 / ((z_x^T z_x + n*eps)(z_y^T z_y + n*eps)), in O(n),
-    with no n x n array and no factorization. RBF kernel: the dense
-    reference, the inner product of two `regularized_operator`s.
+    with no n x n array and no factorization, on each column as
+    `_scaled_down` gives it. RBF kernel: the dense reference, the inner
+    product of two `regularized_operator`s.
     """
     x, y = _check_pair(x, y)
     if config.kernel.kind == LINEAR:
         ridge = x.size * config.epsilon
-        zx, zy = (v - v.mean() for v in (kernel_input(x), kernel_input(y)))
-        return float(zx @ zy) ** 2 / ((float(zx @ zx) + ridge) * (float(zy @ zy) + ridge))
+        (zx, rx), (zy, ry) = (_scaled_down(kernel_input(v), ridge) for v in (x, y))
+        zx, zy = zx - zx.mean(), zy - zy.mean()
+        return float(zx @ zy) ** 2 / ((float(zx @ zx) + rx) * (float(zy @ zy) + ry))
     rx = regularized_operator(gram(x, config.kernel), config.epsilon)
     ry = regularized_operator(gram(y, config.kernel), config.epsilon)
     return float(np.vdot(rx, ry))
@@ -188,7 +206,8 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     kernel (see the module docstring), with no factorization; k <= 2 is
     found from min, max and one equality pass, so only RBF columns with
     k > 2 are sorted into distinct values.
-    Linear kernel: (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x).
+    Linear kernel: (u^T z)^2 / (||z||^2 + n*eps) with z = x - mean(x);
+    both linear forms run on x and its ridge as `_scaled_down` gives them.
     Otherwise, for x's k distinct values with counts c, t the sums of u
     over each value's rows divided by sqrt(c) and w = sqrt(c/n), the form
     is t^T t - n*eps (t^T p - (w^T p)^2 / (w^T q)) with [p, q] = A^{-1} [t, w]
@@ -207,11 +226,14 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     x, u = _check_pair(kernel_input(x), u)
     n = x.size
     ridge = n * config.epsilon
+    if config.kernel.kind == LINEAR:
+        x, ridge = _scaled_down(x, ridge)
     lo, hi = x.min(), x.max()
     top = x == hi
     if np.count_nonzero(top | (x == lo)) == n:  # two values, found without a sort
-        d = hi - lo
-        g = d * d if config.kernel.kind == LINEAR else -2.0 * np.expm1(-d * d / n)
+        with np.errstate(over="ignore"):  # RBF: d * d = inf gives expm1(-inf) = -1, so g = 2
+            d = hi - lo
+            g = d * d if config.kernel.kind == LINEAR else -2.0 * np.expm1(-d * d / n)
         c1 = np.count_nonzero(top)
         c0 = n - c1
         s0, s1 = np.bincount(top, u, minlength=2)

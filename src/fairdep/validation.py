@@ -88,9 +88,11 @@ def cross_validate(
     The builtin `map` (the default) runs them one after another in this
     process. A process pool's order-keeping `map` (such as
     `ProcessPoolExecutor.map`) runs them in parallel with the same
-    result, bit for bit; a script that passes one needs an
+    result, bit for bit, whether its workers are forked or spawned. A
+    script that passes a spawn pool's map needs an
     `if __name__ == "__main__":` guard, because spawned workers import
-    the script's main module again.
+    the script's main module again; `fairdep validate` forks its workers
+    on Linux and spawns them elsewhere (`cli._fold_map`).
     """
     X = np.asarray(matrix, dtype=np.float64)
     y = np.asarray(y).ravel()

@@ -539,21 +539,35 @@ def _in_process_outputs(argv):
     return _outputs(out)
 
 
-@pytest.mark.parametrize("exclude", [False, True], ids=["all-columns", "exclude-sensitive"])
-def test_validate_worker_pool_matches_in_process_folds(tmp_path, synth_files, monkeypatch, exclude):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """(workers, start method) of each process pool started, with two usable CPUs."""
+    started = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            pools.append((max_workers, kwargs["mp_context"].get_start_method()))
+            started.append((max_workers, kwargs["mp_context"].get_start_method()))
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.mark.parametrize("exclude", [False, True], ids=["all-columns", "exclude-sensitive"])
+def test_validate_worker_pool_matches_in_process_folds(tmp_path, synth_files, pools, exclude):
     assert main(_validate_argv(synth_files, tmp_path / "cli", exclude)) == EXIT_OK
-    assert pools == [(2, "spawn")]
+    assert pools == [(2, "fork" if sys.platform.startswith("linux") else "spawn")]
     expected = _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref", exclude))
     assert _outputs(tmp_path / "cli") == expected
+
+
+def test_validate_spawned_workers_match_in_process_folds(tmp_path, synth_files, pools, monkeypatch):
+    # the start method of every platform but Linux, tested where CI runs
+    monkeypatch.setattr(cli_module, "FOLD_START_METHOD", "spawn")
+    assert main(_validate_argv(synth_files, tmp_path / "cli")) == EXIT_OK
+    assert pools == [(2, "spawn")]
+    assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
 
 
 @pytest.mark.parametrize("cpu_source", ["affinity", "cpu_count"])
@@ -573,7 +587,8 @@ def test_validate_on_one_cpu_starts_no_process(tmp_path, synth_files, monkeypatc
 
 @pytest.mark.parametrize("module", ["fairdep", "fairdep.cli"])
 def test_validate_as_main_module_in_a_subprocess(tmp_path, synth_files, module):
-    # spawned workers import the parent's main module again
+    # the workers start from a command run as a main module: forked on
+    # Linux, and elsewhere spawned, when each imports that module again
     argv = _validate_argv(synth_files, tmp_path / "cli")
     done = subprocess.run(
         [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=300
@@ -652,6 +667,31 @@ def test_commands_on_shaped_files(tmp_path, shaped_files, shape, command, kernel
     if command == "validate":
         _strict_json((tmp_path / "validation.json").read_text())
     assert checks.check_report(report) == []
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_audit_scores_columns_at_any_finite_magnitude(tmp_path, kernel):
+    # (b - a)^2 overflows for the two-valued column and ||z||^2 for the
+    # other; each linear form runs on x / 2^e, and RBF's g takes its limit
+    rng = np.random.default_rng(3)
+    n = 60
+    y = rng.random(n) < 0.5
+    two = np.where(y ^ (rng.random(n) < 0.2), 1e160, 0.0)
+    wide = (rng.standard_normal(n) + y) * 1e200
+    data = tmp_path / "big.csv"
+    rows = zip(two.tolist(), wide.tolist(), y.astype(int).tolist())
+    data.write_text("two,wide,y\n" + "".join(f"{a!r},{b!r},{c}\n" for a, b, c in rows), encoding="utf-8")
+    schema = {
+        "columns": [{"name": "two", "kind": "numeric"}, {"name": "wide", "kind": "numeric"}],
+        "label": {"name": "y", "positive": "1"},
+    }
+    schema_path = tmp_path / "big.schema.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--kernel", kernel]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    scores = [feature["d"] for feature in report["scores"]]
+    assert len(scores) == 2 and all(0.0 < d < 1.0 for d in scores)
 
 
 def _strict_json(text):

@@ -671,3 +671,13 @@ def test_write_encoded_csv_round_trips_through_loader(tmp_path, toy_dataset):
     )
     again = load_dataset(path, all_numeric)
     np.testing.assert_array_equal(np.column_stack(again.features), enc.matrix)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_values_standard_json_lacks(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        data.write_json(path, {"scores": [0.5, value]})
+    assert not path.exists()
+    data.write_json(path, {"scores": [0.5, None]})
+    assert path.read_text(encoding="utf-8") == '{\n  "scores": [\n    0.5,\n    null\n  ]\n}\n'

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -393,6 +395,82 @@ def test_linear_quadratic_form_exact_at_large_magnitude(shape):
     y = np.where(z + rng.standard_normal(n) > 0, 1.0, -1.0)
     u, _ = label_direction(y, LIN)
     assert quadratic_form(x, u, LIN) == pytest.approx(_exact_linear_form(x, u, EPS), rel=1e-12)
+
+
+def _unit_centered(v):
+    # v / max|v|, centered and normalized; nothing here can overflow
+    z = v / np.abs(v).max()
+    z = z - z.mean()
+    return z / np.sqrt(z @ z)
+
+
+def _huge_column(shape, scale, rng, n=60):
+    """A column whose largest |value| is `scale`, and labels that track it."""
+    if shape == "many-valued":
+        base = rng.standard_normal(n)
+    else:  # two values, -scale and scale, whose difference overflows
+        base = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    y = np.where(base + rng.standard_normal(n) > 0, 1.0, -1.0)
+    return base / np.abs(base).max() * scale, y
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e308])
+@pytest.mark.parametrize("shape", ["many-valued", "two-valued"])
+def test_linear_forms_are_finite_at_any_magnitude(shape, scale):
+    # x's ridge n*eps is far below ||z||^2 here, so the forms sit at their
+    # limits without it: (u^T z^)^2 for the unit centered z^ of x, and
+    # (z^T z_y)^2 / (||z_y||^2 + n*eps) for nocco
+    x, y = _huge_column(shape, scale, np.random.default_rng(23))
+    u, _ = label_direction(y, LIN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form = quadratic_form(x, u, LIN)
+        d = nocco(x, y, LIN)
+    assert 0.0 <= form <= 1.0 and form == pytest.approx(float(u @ _unit_centered(x)) ** 2, rel=1e-12)
+    zy = y - y.mean()  # y is +-1, so its ridge stays
+    want = float(_unit_centered(x) @ zy) ** 2 / (float(zy @ zy) + y.size * EPS)
+    assert 0.0 <= d <= 1.0 and d == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0, 1e5, 1e100])
+@pytest.mark.parametrize("shape", ["many-valued", "two-valued"])
+def test_linear_forms_keep_the_bits_of_the_unscaled_formula(shape, scale):
+    # dividing x by a power of two and the ridge by its square is exact, so
+    # wherever the formula on x itself is finite, the forms give its bits
+    x, y = _huge_column(shape, scale, np.random.default_rng(24))
+    u, _ = label_direction(y, LIN)
+    n, ridge = x.size, x.size * EPS
+    if shape == "two-valued":
+        top = x == x.max()
+        c1 = np.count_nonzero(top)
+        c0 = n - c1
+        s0, s1 = np.bincount(top, u, minlength=2)
+        g = (x.max() - x.min()) ** 2
+        want = float(g * (s0 * c1 - s1 * c0) ** 2 / (n * (g * (c0 * c1) + n * ridge)))
+    else:
+        z = x - x.mean()
+        want = float(u @ z) ** 2 / (float(z @ z) + ridge)
+    assert quadratic_form(x, u, LIN) == want
+    zx, zy = x - x.mean(), y - y.mean()
+    want = float(zx @ zy) ** 2 / ((float(zx @ zx) + ridge) * (float(zy @ zy) + ridge))
+    assert nocco(x, y, LIN) == want
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e160), (-1e308, 1e308)])
+def test_rbf_two_valued_form_takes_its_limit_without_warning(lo, hi):
+    # (hi - lo)^2 overflows to inf, and g = -2 expm1(-inf) = 2 is its limit
+    rng = np.random.default_rng(25)
+    n = 60
+    top = rng.random(n) < 0.4
+    x = np.where(top, hi, lo)
+    u, _ = label_direction(np.where(top ^ (rng.random(n) < 0.2), 1.0, -1.0), GAUSS)
+    c1 = np.count_nonzero(top)
+    c0 = n - c1
+    s0, s1 = u[~top].sum(), u[top].sum()
+    want = 2.0 * (s0 * c1 - s1 * c0) ** 2 / (n * (2.0 * c0 * c1 + n * n * EPS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quadratic_form(x, u, GAUSS) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [GAUSS, LIN], ids=[RBF, LINEAR])

@@ -67,13 +67,13 @@ def test_different_seeds_differ_somewhere():
 
 
 @pytest.fixture(scope="module")
-def spawn_map():
-    """The fold map `fairdep validate` uses: a spawn pool, one worker per usable CPU."""
+def fold_worker_map():
+    """The fold map `fairdep validate` uses: one worker per usable CPU, forked on Linux."""
     with _fold_map(10) as fold_map:
         yield fold_map
 
 
-def test_noise_features_give_chance_level_accuracy(spawn_map):
+def test_noise_features_give_chance_level_accuracy(fold_worker_map):
     # empirical calibration: pooled 10-fold accuracy on pure noise
     accs = []
     for seed in range(10):
@@ -81,16 +81,17 @@ def test_noise_features_give_chance_level_accuracy(spawn_map):
         X = rng.standard_normal((500, 5))
         y = np.where(rng.random(500) < 0.5, 1, -1)
         forest = ForestConfig(n_trees=30, seed=seed)
-        cv = cross_validate(X, y, folds=10, forest=forest, seed=seed, fold_map=spawn_map)
+        cv = cross_validate(X, y, folds=10, forest=forest, seed=seed, fold_map=fold_worker_map)
         accs.append(np.mean(cv.predictions == y))
     assert all(0.4 <= a <= 0.6 for a in accs)
 
 
 @pytest.mark.parametrize("module", ["fairdep.forest", "fairdep.__main__"])
 def test_worker_imports_load_no_scipy(module):
-    # a validation worker imports fairdep.forest to unpickle fit_predict,
-    # and the `fairdep` script's workers import fairdep.__main__ again;
-    # neither loads scipy or the data layer
+    # a spawned validation worker (every platform but Linux) imports
+    # fairdep.forest to unpickle fit_predict, and the `fairdep` script's
+    # spawned workers import fairdep.__main__ again; neither loads scipy
+    # or the data layer
     code = (
         f"import sys, {module}; "
         "sys.exit(' '.join(m for m in sys.modules "
