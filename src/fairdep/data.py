@@ -17,18 +17,18 @@ half-open on the right, so bins=[25, 60] buckets values as x < 25,
 
 `load_dataset` reads the CSV in blocks of `BLOCK_ROWS` records and
 transposes each block with one `zip`, so no Python loop runs per row or
-per cell. Numeric and binned columns are parsed first, by one float64
-conversion per block and column; a parse that succeeds with every
-value finite proves the block holds no missing marker there (see
-`load_dataset`). Binary, categorical and label columns, and numeric
-ones whose parse fails, look for markers among their distinct cells
-only, and a row mask is built only when one is found. Those distinct
-cells also code the column as int32 against a per-column table. Once
-every row is read, each distinct cell is stripped, recoded and checked
-once, and a column is its table indexed by its codes. The result and
-every error (type, message and precedence) are those of a row-by-row
-reader: a value error is raised only after the whole file has been
-read, so an earlier bad value never hides a later short row.
+per cell. A block of a numeric or binned column is kept as one float64
+conversion when that succeeds with every value finite, which proves
+the block holds no missing marker there (see `load_dataset`); every
+other block of every column is coded as int32 against its column's
+table of raw cells. After the last block each distinct cell is
+stripped once, the markers among them give one mask of the rows to
+keep, coded numeric cells are parsed once, and the recodes and checks
+run on the distinct cells that kept rows use. A column is then its
+table indexed by its codes. The result and every error (type, message
+and precedence) are those of a row-by-row reader: a value error is
+raised only after the whole file has been read, so an earlier bad
+value never hides a later short row.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import compress, islice
+from itertools import islice
 
 import numpy as np
 
 from .errors import DataError, SchemaError, signs
+from .kernels import scaled_down
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -358,20 +359,20 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     stripped before interpretation.
 
     Records are read in blocks of `BLOCK_ROWS` and transposed by one
-    `zip`. Binary, categorical and label columns take each block's
-    distinct cells once; the markers are found among them, and the same
-    set extends the column's code table. Numeric and binned columns are
-    parsed first. When that float64 conversion succeeds and every value
-    is finite, the block holds no marker in the column, provided no
-    marker itself parses as a finite number (checked once per schema):
-    numpy converts each cell with float(), which accepts only
-    surrounding whitespace that str.strip also removes, so a cell whose
-    stripped text is a marker either fails to parse or gives a
-    non-finite value. A failed parse (or a finite marker) sends the
-    column to the distinct-cell search. A block holding a marker builds
-    the row mask and compresses its cells; parsed columns are masked.
-    Strip, recode, the category checks and the label test run once per
-    distinct kept cell of the whole file.
+    `zip`. Each block of a numeric or binned column is parsed first.
+    When that float64 conversion succeeds and every value is finite, the
+    block holds no marker in the column, provided no marker itself
+    parses as a finite number (checked once per schema): numpy converts
+    each cell with float(), which accepts only surrounding whitespace
+    that str.strip also removes, so a cell whose stripped text is a
+    marker either fails to parse or gives a non-finite value. Every other
+    block (one whose parse fails, every numeric block when a marker is
+    finite, and every block of a binary, categorical or label column) is
+    coded as int32 against its column's table of raw cells. After the last block, each distinct cell is
+    stripped once; the markers among them mark rows to drop, by one mask
+    for all columns; each coded numeric cell is parsed once; and recode,
+    the category checks and the label test run once per distinct cell
+    that kept rows use.
     Blank records are skipped but keep their place in the row numbers.
 
     DataError precedence, as in a row-by-row reader:
@@ -410,11 +411,11 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
         floats = [col.kind == NUMERIC or col.bins is not None for col in schema.columns] + [False]
         # a finite parse rules markers out only if no marker parses as finite
         parse_first = all(_finite_floats([marker]) is None for marker in missing)
+        # per column, each block's float64 values or its int32 codes into `index`
         parts: list[list[np.ndarray]] = [[] for _ in needed]
         index: list[dict[str, int]] = [{} for _ in needed]  # raw cell -> code
-        errors: list[DataError | None] = [None for _ in needed]
 
-        row_no, dropped = 2, 0
+        row_no = 2
         while block := list(islice(reader, BLOCK_ROWS)):
             lengths = np.fromiter(map(len, block), np.intp, len(block))
             short = np.flatnonzero((lengths > 0) & (lengths < width))
@@ -428,60 +429,45 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             transposed = list(islice(zip(*block), width))
             columns = [transposed[p] for p in positions]
             del block, transposed  # two blocks alive at once raise the peak RSS
-            parsed: list[np.ndarray | None] = [None for _ in needed]
-            distinct: list[set[str] | None] = [None for _ in needed]
-            drop = None
             for j, cells in enumerate(columns):
-                if floats[j] and parse_first:
-                    parsed[j] = _finite_floats(cells)
-                    if parsed[j] is not None:
-                        continue
-                distinct[j] = set(cells)
-                marks = {c for c in distinct[j] if c.strip() in missing}
-                if marks:
-                    hit = np.fromiter(map(marks.__contains__, cells), bool, len(cells))
-                    drop = hit if drop is None else drop | hit
-            if drop is not None:
-                dropped += int(np.count_nonzero(drop))
-                keep = ~drop
-                kept = keep.tolist()
-                columns = [
-                    cells if parsed[j] is not None else list(compress(cells, kept))
-                    for j, cells in enumerate(columns)
-                ]
-                parsed = [None if v is None else v[keep] for v in parsed]
-                distinct = [None for _ in needed]  # also counted the dropped cells
-            for j, cells in enumerate(columns):
-                if not floats[j]:
-                    parts[j].append(_code(index[j], cells, distinct[j]))
-                elif parsed[j] is not None:
-                    parts[j].append(parsed[j])
-                elif errors[j] is None:
-                    try:
-                        parts[j].append(_parse_floats(needed[j], cells))
-                    except DataError as exc:
-                        errors[j] = exc
-            del columns, parsed, distinct
+                values = _finite_floats(cells) if floats[j] and parse_first else None
+                parts[j].append(_code(index[j], cells) if values is None else values)
+            del columns, cells
         _raise_malformed(row_no, bad)
 
-        n = sum(map(len, parts[-1]))
+        # each distinct cell is stripped once; a marker in any column drops its row
+        tables = [[cell.strip() for cell in table] for table in index]
+        keep = np.ones(sum(map(len, parts[-1])), bool)
+        for j, table in enumerate(tables):
+            marked = np.array([cell in missing for cell in table], bool)
+            if marked.any():  # a parsed block holds no marker
+                keep &= ~_join(parts[j], marked, False)
+        n = int(np.count_nonzero(keep))
         if n < 2:
             raise DataError(f"fewer than 2 rows survive missing-value removal (got {n})")
 
         features = []
         for j, col in enumerate(schema.columns):
-            if errors[j] is not None:
-                raise errors[j]
-            values = np.concatenate(parts[j])
-            parts[j].clear()  # free the blocks before the next column is joined
+            if floats[j]:
+                # each coded cell parsed once; None (non-numeric) becomes nan
+                numbers = np.array([_number(cell) for cell in tables[j]], dtype=np.float64)
+                values = _join(parts[j], numbers)
+                if not np.isfinite(numbers).all():  # a parsed block is all finite
+                    bad_rows = np.flatnonzero(keep & ~np.isfinite(values))
+                    if bad_rows.size:
+                        code = _join(parts[j], np.arange(numbers.size), -1)[bad_rows[0]]
+                        kind = "non-numeric" if _number(tables[j][code]) is None else "non-finite"
+                        raise DataError(f"column {col.name!r}: {kind} value {tables[j][code]!r}")
+                parts[j].clear()  # free the blocks before the next column is joined
+                values = values[keep]
+            else:
+                cells, values = _kept_cells(tables[j], parts[j], keep)
+                values = np.array(_interpret_values(col, cells), dtype=object)[values]
             if col.bins is not None:
                 bin_of = np.searchsorted(np.asarray(col.bins), values, side="right")
                 values = np.array(col.categories, dtype=object)[bin_of]
-            elif not floats[j]:
-                table = _interpret_values(col, [cell.strip() for cell in index[j]])
-                values = np.array(table, dtype=object)[values]
             features.append(values)
-        labels = [cell.strip() for cell in index[-1]]
+        labels, codes = _kept_cells(tables[-1], parts[-1], keep)
         if schema.positive not in labels:
             raise DataError(
                 f"degenerate labels: positive value {schema.positive!r} never observed"
@@ -493,8 +479,8 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
         return Dataset(
             schema=schema,
             features=tuple(features),
-            y=sign[np.concatenate(parts[-1])],
-            dropped_rows=dropped,
+            y=sign[codes],
+            dropped_rows=keep.size - n,
             negative_display=negatives[0] if len(negatives) == 1 else None,
         )
     except UnicodeDecodeError as exc:
@@ -524,14 +510,35 @@ def _raise_malformed(row_no: int, bad: list) -> None:
         raise DataError(f"row {row_no}: malformed CSV record: {bad[0]}")
 
 
-def _code(index: dict[str, int], cells, distinct: set[str] | None = None) -> np.ndarray:
-    """int32 codes of the cells, extending `index` with cells it lacks.
-
-    `distinct`, when given, is `set(cells)`, already built by the caller.
-    """
-    for cell in (set(cells) if distinct is None else distinct).difference(index):
+def _code(index: dict[str, int], cells) -> np.ndarray:
+    """int32 codes of the cells, extending `index` with cells it lacks."""
+    for cell in set(cells).difference(index):
         index[cell] = len(index)
     return np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
+
+
+def _join(parts: list[np.ndarray], table: np.ndarray, fill=None) -> np.ndarray:
+    """A column's blocks in row order: a coded block as `table[codes]`, a
+    parsed one as its values, or as `fill` in every row when that is given."""
+    return np.concatenate(
+        [
+            table[p] if p.dtype == np.int32 else p if fill is None else np.full(p.size, fill)
+            for p in parts
+        ]
+    )
+
+
+def _kept_cells(table: list[str], parts: list[np.ndarray], keep: np.ndarray):
+    """The cells of `table` that kept rows use, and each kept row's index into them.
+
+    Clears `parts`, a coded column's blocks, once they are joined.
+    """
+    codes = np.concatenate(parts)[keep]
+    parts.clear()
+    used = np.zeros(len(table), np.int32)
+    used[codes] = 1
+    # a used cell's index is the count of used cells before it
+    return [table[k] for k in np.flatnonzero(used)], (np.cumsum(used, dtype=np.int32) - 1)[codes]
 
 
 def _interpret_values(col: Column, values: list[str]) -> list[str]:
@@ -585,28 +592,12 @@ def _finite_floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _parse_floats(name: str, cells) -> np.ndarray:
-    """The cells as finite float64; DataError names the first bad one in row order.
-
-    A cell is bad when float() rejects it ("non-numeric") or gives nan or
-    an infinity ("non-finite", 1e999 too). The block is one float64
-    conversion of the raw cells; only when that fails or is not finite
-    are the cells stripped and parsed one by one, as float() accepts the
-    same surrounding whitespace as str.strip() except the separators
-    \\x1c-\\x1f.
-    """
-    values = _finite_floats(cells)
-    if values is not None:
-        return values
-    parsed = []
-    for cell in map(str.strip, cells):
-        try:
-            parsed.append(float(cell))
-        except ValueError:
-            raise DataError(f"column {name!r}: non-numeric value {cell!r}") from None
-        if not math.isfinite(parsed[-1]):
-            raise DataError(f"column {name!r}: non-finite value {cell!r}")
-    return np.array(parsed)
+def _number(cell: str) -> float | None:
+    """float(cell), or None when float() rejects the cell."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
 
 def encode(dataset: Dataset) -> EncodedDataset:
@@ -664,16 +655,19 @@ def encode(dataset: Dataset) -> EncodedDataset:
 def standardize_numeric(encoded: EncodedDataset) -> EncodedDataset:
     """Z-score the numeric passthrough columns; indicators are untouched.
 
-    Zero-variance columns are only mean-centered. Off by default in the
-    pipeline: the RBF kernel's 1/n scaling is the only normalization the
-    dependence measure assumes.
+    Zero-variance columns are only mean-centered. Each column is first
+    divided by the power of two above its largest |v| (`scaled_down`),
+    which is exact, so the z-scores keep their bits and no square
+    overflows at any finite magnitude. Off by default in the pipeline: the
+    RBF kernel's 1/n scaling is the only normalization the dependence
+    measure assumes.
     """
     matrix = encoded.matrix.copy()
     for j, col in enumerate(encoded.schema.columns):
         if col.kind != NUMERIC:
             continue
         c = encoded.parent_columns[j][0]
-        v = matrix[:, c]
+        v, _ = scaled_down(matrix[:, c])
         sd = v.std()
         matrix[:, c] = (v - v.mean()) / sd if sd > 0 else v - v.mean()
     matrix.setflags(write=False)

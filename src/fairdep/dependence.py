@@ -79,7 +79,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NumericsError, SchemaError
-from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, value_band
+from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, scaled_down, value_band
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,14 @@ def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
 
 
 def _scaled_down(x: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
-    """x / 2^e and ridge / 2^2e, for the least e >= 0 with max |x| < 2^e.
+    """x / 2^e as `kernels.scaled_down` gives it, and ridge / 2^2e.
 
     A linear-kernel form is unchanged by that scaling, which is exact, so
-    a finite form keeps its bits; on the scaled x, whose entries lie in
-    (-1, 1), no square or sum of squares overflows. x is never scaled up.
+    a finite form keeps its bits, and on the scaled x no square or sum of
+    squares overflows.
     """
-    e = max(int(np.frexp(np.abs(x).max())[1]), 0)
-    return np.ldexp(x, -e), float(np.ldexp(ridge, -2 * e))
+    x, e = scaled_down(x)
+    return x, float(np.ldexp(ridge, -2 * e))
 
 
 def nocco(x, y, config: DependenceConfig = DependenceConfig()) -> float:

@@ -61,13 +61,6 @@ class DependenceReport:
     sensitive_groups: tuple[str, ...]
     config: dict
 
-    def subfeature_score(self, name: str) -> float:
-        for fs in self.scores:
-            for sub_name, value in zip(fs.subfeature_names, fs.subfeature_scores):
-                if sub_name == name:
-                    return value
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "config": self.config,

@@ -52,6 +52,16 @@ def kernel_input(values) -> np.ndarray:
     return v
 
 
+def scaled_down(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x / 2^e and e, for the least e >= 0 with max |x| < 2^e.
+
+    The division is exact, and the entries of x / 2^e lie in (-1, 1), so
+    no square or sum of squares of them overflows. x is never scaled up.
+    """
+    e = max(int(np.frexp(np.abs(x).max())[1]), 0)
+    return np.ldexp(x, -e), e
+
+
 # np.exp(-s) is exactly 0.0 for every s > 745.14
 RBF_UNDERFLOW = 746.0
 

@@ -201,9 +201,12 @@ def test_criterion_7_qualitative_benchmarks():
     _, report = audit_dataset(compas, max_n=2000, seed=42)
     t = report.threshold
     by_name = {s.name: s for s in report.scores}
+    sub_scores = {
+        sub: d for s in report.scores for sub, d in zip(s.subfeature_names, s.subfeature_scores)
+    }
     assert by_name["sex"].score < t, "sex should fall below the median"
-    assert report.subfeature_score("race_African-American") >= t
-    assert report.subfeature_score("age_cat_Greater than 45") >= t
+    assert sub_scores["race_African-American"] >= t
+    assert sub_scores["age_cat_Greater than 45"] >= t
     assert "race" in report.sensitive_features
     assert "age_cat" in report.sensitive_features
     assert "sex" not in report.sensitive_features

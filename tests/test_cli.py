@@ -694,6 +694,38 @@ def test_audit_scores_columns_at_any_finite_magnitude(tmp_path, kernel):
     assert len(scores) == 2 and all(0.0 < d < 1.0 for d in scores)
 
 
+def test_audit_standardizes_columns_at_any_finite_magnitude(tmp_path):
+    # v.std() squares the raw values, which overflows past about 1e154;
+    # a warning fails the test, as pytest turns warnings into errors here
+    from fairdep import Schema, encode, load_dataset
+    from fairdep.data import standardize_numeric
+
+    rng = np.random.default_rng(5)
+    n = 60
+    y = rng.random(n) < 0.5
+    scales = {"a": 1e160, "b": 1e200, "c": 1e307}
+    columns = [(rng.standard_normal(n) + y) * s for s in scales.values()]
+    data = tmp_path / "big.csv"
+    rows = zip(*(c.tolist() for c in columns), y.astype(int).tolist())
+    data.write_text("a,b,c,y\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows), encoding="utf-8")
+    schema = {
+        "columns": [{"name": k, "kind": "numeric"} for k in scales],
+        "label": {"name": "y", "positive": "1"},
+    }
+    schema_path = tmp_path / "big.schema.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--standardize"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    assert all(0.0 < feature["d"] < 1.0 for feature in report["scores"])
+    encoded = encode(load_dataset(data, Schema.from_dict(schema)))
+    std = standardize_numeric(encoded)
+    for c in range(3):  # the z-scores of the column divided by 2^e, bit for bit
+        v = encoded.matrix[:, c]
+        w = np.ldexp(v, -int(np.frexp(np.abs(v).max())[1]))
+        assert std.matrix[:, c].tobytes() == ((w - w.mean()) / w.std()).tobytes()
+
+
 def _strict_json(text):
     """json.loads that refuses NaN and Infinity, which standard JSON does not have."""
 

@@ -394,7 +394,7 @@ def _assert_same_dataset(got, want):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_csv_case(), block=st.sampled_from([2, 3]))
+@given(case=_csv_case(), block=st.sampled_from([1, 2, 3]))
 def test_block_loader_matches_rowwise_reference(case, block):
     schema, text = case
     want = _load_outcome(rowwise_load_dataset, text, schema)
@@ -425,6 +425,26 @@ def test_numeric_cells_that_are_markers(markers, cells):
     ds = load_dataset(io.StringIO(text), schema)
     assert ds.dropped_rows == 2 and ds.features[0].tolist() == [1.0, 2.0, 3.0]
     _assert_same_dataset(ds, rowwise_load_dataset(io.StringIO(text), schema))
+
+
+def test_numeric_column_parsed_then_coded(monkeypatch):
+    # blocks of two rows: the first parses as float64, the second fails to
+    # parse ("abc") and is coded, and so is the fourth (" x7 ")
+    monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+    schema = Schema(
+        columns=(Column("x", "numeric"), Column("b", "binary")), label="y", positive="1"
+    )
+    rows = ["1,u,1", "2,v,0", "abc,?,1", "3,u,0", "4,v,1", "5,u,0"]
+    text = "x,b,y\n" + "\n".join(rows) + "\n"
+    ds = load_dataset(io.StringIO(text), schema)  # "abc" sits only in a dropped row
+    assert ds.dropped_rows == 1 and ds.features[0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    _assert_same_dataset(ds, rowwise_load_dataset(io.StringIO(text), schema))
+    text += "6,v,1\n x7 ,u,0\n"
+    with pytest.raises(DataError, match=r"^column 'x': non-numeric value 'x7'$"):
+        load_dataset(io.StringIO(text), schema)
+    assert _load_outcome(rowwise_load_dataset, text, schema) == (
+        DataError, "column 'x': non-numeric value 'x7'",
+    )
 
 
 def test_block_of_blank_records(monkeypatch, toy_schema):
