@@ -16,19 +16,19 @@ half-open on the right, so bins=[25, 60] buckets values as x < 25,
 25 <= x < 60, x >= 60.
 
 `load_dataset` reads the CSV in blocks of `BLOCK_ROWS` records and
-transposes each block with one `zip`, so no Python loop runs per row or
-per cell. A block of a numeric or binned column is kept as one float64
-conversion when that succeeds with every value finite, which proves
-the block holds no missing marker there (see `load_dataset`); every
-other block of every column is coded as int32 against its column's
-table of raw cells. After the last block each distinct cell is
-stripped once, the markers among them give one mask of the rows to
-keep, coded numeric cells are parsed once, and the recodes and checks
-run on the distinct cells that kept rows use. A column is then its
-table indexed by its codes. The result and every error (type, message
-and precedence) are those of a row-by-row reader: a value error is
-raised only after the whole file has been read, so an earlier bad
-value never hides a later short row.
+transposes each block with one `zip`. A numeric or binned column is
+float64 in every block: one conversion of the whole block when that
+proves the block holds no missing marker (see `load_dataset`), and
+otherwise a read of each cell, stripped once, in which a marker marks
+its row to drop. Binary, categorical and label columns are coded as
+int32 against their column's table of raw cells; after the last block
+each distinct cell is stripped once, the markers among them complete
+one mask of the rows to keep, and the recodes and checks run on the
+distinct cells that kept rows use. Such a column is then its table
+indexed by its codes. The result and every error (type, message and
+precedence) are those of a row-by-row reader: a value error is raised
+only after the whole file has been read, so an earlier bad value never
+hides a later short row.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
 
@@ -359,20 +360,20 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     stripped before interpretation.
 
     Records are read in blocks of `BLOCK_ROWS` and transposed by one
-    `zip`. Each block of a numeric or binned column is parsed first.
-    When that float64 conversion succeeds and every value is finite, the
-    block holds no marker in the column, provided no marker itself
-    parses as a finite number (checked once per schema): numpy converts
-    each cell with float(), which accepts only surrounding whitespace
-    that str.strip also removes, so a cell whose stripped text is a
-    marker either fails to parse or gives a non-finite value. Every other
-    block (one whose parse fails, every numeric block when a marker is
-    finite, and every block of a binary, categorical or label column) is
-    coded as int32 against its column's table of raw cells. After the last block, each distinct cell is
-    stripped once; the markers among them mark rows to drop, by one mask
-    for all columns; each coded numeric cell is parsed once; and recode,
-    the category checks and the label test run once per distinct cell
-    that kept rows use.
+    `zip`. A block of a numeric or binned column takes one float64
+    conversion when it succeeds, every value is finite and no value
+    equals a marker's own float value: numpy converts each cell with
+    float(), which accepts only surrounding whitespace that str.strip
+    also removes, so a cell whose stripped text is a marker either fails
+    to convert or gives exactly that value. Any other block of such a
+    column is read cell by cell (`_floats`): a marker sets its row in a
+    drop mask of all rows, and only a cell that is neither a marker nor a
+    finite number is kept, with its row, for the error message. Blocks of
+    binary, categorical and label columns are coded as int32 against
+    their column's table of raw cells. After the last block, each
+    distinct coded cell is stripped once and the markers among them add
+    their rows to the drop mask; then recode, the category checks and the
+    label test run once per distinct cell that kept rows use.
     Blank records are skipped but keep their place in the row numbers.
 
     DataError precedence, as in a row-by-row reader:
@@ -406,14 +407,17 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
                 raise DataError(f"duplicate column: {name!r} repeats in CSV header")
         positions = [header.index(name) for name in needed]
         width = max(positions) + 1
-        missing = set(schema.missing_values)
-        # parsed as float64 per block, or (the label too) coded per distinct cell
+        # each marker, and its float value (None when float() rejects it)
+        missing = {marker: _number(marker) for marker in schema.missing_values}
+        # float64 per block, or (the label too) coded per distinct cell
         floats = [col.kind == NUMERIC or col.bins is not None for col in schema.columns] + [False]
-        # a finite parse rules markers out only if no marker parses as finite
-        parse_first = all(_finite_floats([marker]) is None for marker in missing)
         # per column, each block's float64 values or its int32 codes into `index`
         parts: list[list[np.ndarray]] = [[] for _ in needed]
         index: list[dict[str, int]] = [{} for _ in needed]  # raw cell -> code
+        # a row is an index into the non-blank records; per float64 column, the
+        # (row, stripped cell) of each cell neither a marker nor a finite number
+        rejects: list[list[tuple[int, str]]] = [[] for _ in needed]
+        drop = bytearray()  # per row, 1 when a float64 column holds a marker there
 
         row_no = 2
         while block := list(islice(reader, BLOCK_ROWS)):
@@ -422,26 +426,26 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
             if short.size:
                 raise DataError(f"row {row_no + int(short[0])}: too few fields")
             row_no += len(block)
-            if not lengths.all():
-                block = list(filter(None, block))  # blank records
-                if not block:
-                    continue
+            if not lengths.all() and not (block := list(filter(None, block))):  # blank records
+                continue
             transposed = list(islice(zip(*block), width))
             columns = [transposed[p] for p in positions]
+            drop += bytes(len(block))
             del block, transposed  # two blocks alive at once raise the peak RSS
             for j, cells in enumerate(columns):
-                values = _finite_floats(cells) if floats[j] and parse_first else None
-                parts[j].append(_code(index[j], cells) if values is None else values)
+                if floats[j]:
+                    parts[j].append(_floats(cells, missing, drop, rejects[j]))
+                else:
+                    parts[j].append(_code(index[j], cells))
             del columns, cells
         _raise_malformed(row_no, bad)
 
-        # each distinct cell is stripped once; a marker in any column drops its row
+        # a marker in any column drops its row; each coded distinct cell is stripped once
+        keep = ~np.frombuffer(drop, bool)
         tables = [[cell.strip() for cell in table] for table in index]
-        keep = np.ones(sum(map(len, parts[-1])), bool)
         for j, table in enumerate(tables):
-            marked = np.array([cell in missing for cell in table], bool)
-            if marked.any():  # a parsed block holds no marker
-                keep &= ~_join(parts[j], marked, False)
+            if (marked := np.array([cell in missing for cell in table], bool)).any():
+                keep &= ~marked[np.concatenate(parts[j])]
         n = int(np.count_nonzero(keep))
         if n < 2:
             raise DataError(f"fewer than 2 rows survive missing-value removal (got {n})")
@@ -449,16 +453,11 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
         features = []
         for j, col in enumerate(schema.columns):
             if floats[j]:
-                # each coded cell parsed once; None (non-numeric) becomes nan
-                numbers = np.array([_number(cell) for cell in tables[j]], dtype=np.float64)
-                values = _join(parts[j], numbers)
-                if not np.isfinite(numbers).all():  # a parsed block is all finite
-                    bad_rows = np.flatnonzero(keep & ~np.isfinite(values))
-                    if bad_rows.size:
-                        code = _join(parts[j], np.arange(numbers.size), -1)[bad_rows[0]]
-                        kind = "non-numeric" if _number(tables[j][code]) is None else "non-finite"
-                        raise DataError(f"column {col.name!r}: {kind} value {tables[j][code]!r}")
-                parts[j].clear()  # free the blocks before the next column is joined
+                if bad_cells := [cell for row, cell in rejects[j] if keep[row]]:  # in row order
+                    kind = "non-numeric" if _number(bad_cells[0]) is None else "non-finite"
+                    raise DataError(f"column {col.name!r}: {kind} value {bad_cells[0]!r}")
+                # the blocks are freed before the next column is joined
+                values, parts[j] = np.concatenate(parts[j]), []
                 values = values[keep]
             else:
                 cells, values = _kept_cells(tables[j], parts[j], keep)
@@ -517,17 +516,6 @@ def _code(index: dict[str, int], cells) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
 
 
-def _join(parts: list[np.ndarray], table: np.ndarray, fill=None) -> np.ndarray:
-    """A column's blocks in row order: a coded block as `table[codes]`, a
-    parsed one as its values, or as `fill` in every row when that is given."""
-    return np.concatenate(
-        [
-            table[p] if p.dtype == np.int32 else p if fill is None else np.full(p.size, fill)
-            for p in parts
-        ]
-    )
-
-
 def _kept_cells(table: list[str], parts: list[np.ndarray], keep: np.ndarray):
     """The cells of `table` that kept rows use, and each kept row's index into them.
 
@@ -579,17 +567,33 @@ def _categories(col: Column, values) -> tuple[str, ...]:
     return col.categories
 
 
-def _finite_floats(cells) -> np.ndarray | None:
-    """The cells as float64 by one conversion, or None unless it succeeds and all are finite.
+def _floats(cells, missing: dict, drop: bytearray, rejects: list):
+    """A block of a float64 column's cells as float64, by one conversion when it can.
 
-    numpy converts each str with float(), so this accepts a cell exactly
-    when float() gives it a finite value.
+    The conversion stands when it succeeds, every value is finite and none
+    equals a marker's own float value (`missing` maps each marker to it,
+    or to None): numpy converts each cell with float(), which accepts only
+    surrounding whitespace that str.strip also removes, so a cell whose
+    stripped text is a marker either fails to convert or gives exactly
+    that value. Otherwise each cell is stripped once and read on its own.
+    The block's rows are the last `len(cells)` of `drop`. A marker sets
+    its row there; a cell that is neither a marker nor a finite number
+    reads as nan, and its row and stripped text go to `rejects`.
     """
-    try:
+    with suppress(ValueError):
         values = np.asarray(cells, dtype=np.float64)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+        clash = any((values == v).any() for v in missing.values() if v is not None)
+        if np.isfinite(values).all() and not clash:
+            return values
+    values = np.full(len(cells), np.nan)
+    for i, cell in enumerate(map(str.strip, cells)):
+        if cell in missing:
+            drop[i - len(cells)] = True
+        elif (number := _number(cell)) is not None and math.isfinite(number):
+            values[i] = number
+        else:
+            rejects.append((len(drop) - len(cells) + i, cell))
+    return values
 
 
 def _number(cell: str) -> float | None:

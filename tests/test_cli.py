@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdep import ForestConfig, NumericsError, SchemaError
+from fairdep import DataError, ForestConfig, NumericsError, RandomForest, SchemaError, encode
 from fairdep import cli as cli_module
 from fairdep import validation as validation_module
-from fairdep.dependence import DependenceConfig
-from fairdep.detector import FeatureScore, detect, subsample
+from fairdep.dependence import DependenceConfig, regularized_operator
+from fairdep.detector import FeatureScore, detect, score_features, subsample
 from fairdep.kernels import KernelSpec
 from fairdep.synth import PlantedFeature, SynthSpec, generate
 from fairdep.cli import (
@@ -357,6 +358,7 @@ _CONFIG_ERRORS = [
     ("synth", ["--n", "5"], "n must be at least 10"),
     ("synth", ["--balance", "2"], "balance must lie in"),
     ("synth", ["--planted", "0.1:2"], "fraction must lie in"),
+    ("synth", ["--planted", ","], "--planted lists no features"),
     ("synth", ["--seed", "-1"], "--seed must be nonnegative"),
 ]
 
@@ -466,6 +468,35 @@ def test_colliding_encoded_names_are_config_error(tmp_path, capsys):
 )
 def test_setting_checks_raise_schema_error(build):
     with pytest.raises(SchemaError):
+        build()
+
+
+def _validate_without_columns():
+    # every feature is flagged at a threshold below every score, then excluded
+    encoded = encode(generate(SynthSpec(n=40, noise_numeric=0))[0])
+    report = detect(score_features(encoded), threshold=-1.0)
+    return validate(encoded, report, folds=2, exclude_sensitive=True)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: regularized_operator(np.eye(3), epsilon=0.0), ValueError,
+         "epsilon must be positive, got 0.0"),
+        (lambda: detect(()), ValueError, "no feature scores to threshold"),
+        (lambda: RandomForest().fit(np.zeros((4, 2)), [1, -1, 1]), ValueError,
+         "X (4, 2) and y (3,) disagree"),
+        (lambda: SynthSpec(noise_binary=-1), SchemaError,
+         "noise feature counts must be nonnegative"),
+        (lambda: stratified_folds(np.array([1, -1, 1]), 5), DataError,
+         "cannot split 3 rows into 5 folds"),
+        (_validate_without_columns, DataError,
+         "excluding sensitive features leaves no training columns"),
+    ],
+    ids=["regularized_operator", "detect", "forest-fit", "SynthSpec-noise", "folds", "validate"],
+)
+def test_input_checks_name_the_fault(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
 

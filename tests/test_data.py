@@ -106,6 +106,11 @@ def test_candidate_sensitive_is_a_bool_or_absent(flag):
         ("bins", 25, "bins must be a list"),
         ("bins", ["x"], "malformed schema document: could not convert"),
         ("name", 5, "column name must be a string"),
+        ("kind", "ordinal", "column 'age': unknown kind 'ordinal'"),
+        ("categories", ["x", "x"], "column 'age': duplicate categories"),
+        ("kind", "numeric", "column 'age': numeric columns take no categories"),
+        ("recode_default", "z", "column 'age': recode_default 'z' is not a declared category"),
+        ("bins", [60, 25], "column 'age': bins must be ascending"),
     ],
 )
 def test_mistyped_column_fields_are_schema_errors(field, value, message):
@@ -115,18 +120,40 @@ def test_mistyped_column_fields_are_schema_errors(field, value, message):
 
 
 @pytest.mark.parametrize(
+    "column, message",
+    [
+        ({"kind": "binary", "categories": ["a", "b", "c"]},
+         "binary categories, when given, must be a pair"),
+        ({"kind": "binary", "recode": {"a": "b"}}, "recode applies to categorical columns only"),
+        ({"kind": "numeric", "bins": [25]}, "bins apply to categorical columns only"),
+    ],
+)
+def test_column_fields_that_need_another_kind(column, message):
+    with pytest.raises(SchemaError, match=re.escape(f"column 'c': {message}")):
+        Column("c", **column)
+
+
+@pytest.mark.parametrize(
     "top, message",
     [
         ({"missing_values": "NA"}, "missing_values must be a list of strings"),
         ({"missing_values": ["?", None]}, "missing_values must be a list of strings"),
         ({"label": {"name": 1, "positive": "1"}}, "label name and positive value must be"),
         ({"label": {"name": "y", "positive": True}}, "label name and positive value must be"),
+        ({"columns": []}, "schema declares no feature columns"),
     ],
 )
 def test_mistyped_schema_fields_are_schema_errors(top, message):
     # "NA" was read as the two markers 'N' and 'A', and true as the positive value 'True'
     with pytest.raises(SchemaError, match=message):
         Schema.from_dict({**_doc(), **top})
+
+
+def test_schema_file_that_is_not_json(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text('{"columns": [', encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^schema file {re.escape(str(path))} is not valid JSON: "):
+        Schema.from_json(path)
 
 
 @pytest.mark.parametrize("marker", [" ?", "? ", "\tNA"])
@@ -299,6 +326,14 @@ def test_load_path_with_byte_order_mark(tmp_path, toy_schema):
     assert ds.features[0].tolist() == ["male", "female"]
 
 
+def test_load_empty_csv_and_malformed_header(toy_schema):
+    with pytest.raises(DataError, match="^CSV is empty$"):
+        load_dataset(io.StringIO(""), toy_schema)
+    huge = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+    with pytest.raises(DataError, match="^row 1: malformed CSV record: field larger than"):
+        load_dataset(io.StringIO(f"gender,{huge},age,recid\nmale,2,30-60,yes\n"), toy_schema)
+
+
 def test_load_rejects_repeated_header_column(toy_schema):
     csv_text = "gender,ncrimes,age,recid,gender\nmale,2,30-60,yes,female\nfemale,0,<30,no,male\n"
     with pytest.raises(DataError, match="duplicate column: 'gender'"):
@@ -319,8 +354,8 @@ def test_short_row_outranks_an_earlier_value_error(monkeypatch, toy_schema):
 # cases load and the rest fail in every documented way.
 _DIFF_COLUMNS = {
     "num": (Column("num", "numeric"),
-            ["1", "2.5", "-0", "1e3", "-1"],
-            [" 3 ", "nan", "\x1c4", "abc", "", "?", " NA ", " -1 "]),
+            ["1", "2.5", "-0", "1e3", "-1", "-1.0"],
+            [" 3 ", "nan", "inf", "\x1c4", "abc", "", "?", " NA ", " -1 ", " -1e0"]),
     "cat": (Column("cat", "categorical", categories=("a", "b", "c"), recode={"x": "a", "y": "b"}),
             ["a", "b", "c", "x"], [" a ", "y ", "z", "a,b", "?"]),
     "dflt": (Column("dflt", "categorical", categories=("p", "q", "other"), recode={"r": "p"},
@@ -394,7 +429,7 @@ def _assert_same_dataset(got, want):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_csv_case(), block=st.sampled_from([1, 2, 3]))
+@given(case=_csv_case(), block=st.sampled_from([1, 2, 3, 5]))
 def test_block_loader_matches_rowwise_reference(case, block):
     schema, text = case
     want = _load_outcome(rowwise_load_dataset, text, schema)
@@ -429,7 +464,7 @@ def test_numeric_cells_that_are_markers(markers, cells):
 
 def test_numeric_column_parsed_then_coded(monkeypatch):
     # blocks of two rows: the first parses as float64, the second fails to
-    # parse ("abc") and is coded, and so is the fourth (" x7 ")
+    # parse ("abc") and is read cell by cell, and so is the fourth (" x7 ")
     monkeypatch.setattr(data, "BLOCK_ROWS", 2)
     schema = Schema(
         columns=(Column("x", "numeric"), Column("b", "binary")), label="y", positive="1"
@@ -488,6 +523,47 @@ def test_load_peak_memory_per_kept_cell(tmp_path):
     kept_cells = ds.n * (ds.m + 1)
     assert ds.dropped_rows > 0
     assert peak / kept_cells <= 32.0
+
+
+def _second_load_peak(path, schema):
+    """tracemalloc peak of `load_dataset`, after one load outside the trace."""
+    load_dataset(path, schema)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, schema)
+        return tracemalloc.get_traced_memory()[1], ds
+    finally:
+        tracemalloc.stop()
+
+
+def test_numeric_markers_keep_the_clean_peak(tmp_path):
+    # a numeric block holding a "?", or a number equal to a marker such as
+    # "-1", was coded against a table of every raw cell of such blocks
+    rng = np.random.default_rng(7)
+    n, block = 8192, data.BLOCK_ROWS
+    money = [[f"{v:.2f}" for v in rng.uniform(0, 1e6, n)] for _ in range(2)]
+    labels = rng.choice(["1", "0"], n).tolist()
+
+    def write(name, columns):
+        path = tmp_path / name
+        lines = ["a,b,y"] + [",".join(row) for row in zip(*columns, labels)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    clean = write("clean.csv", money)
+    for col in money:  # one "?" in each block of each column, in different rows
+        for start in range(0, n, block):
+            col[start + int(rng.integers(block))] = "?"
+    marked = write("marked.csv", money)
+    schema = Schema(
+        columns=(Column("a", "numeric"), Column("b", "numeric")), label="y", positive="1"
+    )
+    base, ds = _second_load_peak(clean, schema)
+    assert ds.dropped_rows == 0
+    peak, ds = _second_load_peak(marked, schema)
+    assert 0 < ds.dropped_rows <= 2 * n // block and peak <= 1.25 * base
+    peak, ds = _second_load_peak(clean, replace(schema, missing_values=("", "?", "-1")))
+    assert ds.dropped_rows == 0 and peak <= 1.25 * base
 
 
 # --------------------------------------------------------------- encode
@@ -649,6 +725,23 @@ def test_dataset_labels_must_be_signs(toy_dataset):
     with pytest.raises(DataError, match=r"labels must lie in \{-1, \+1\}, got \[0, 1\]"):
         replace(toy_dataset, y=np.array([1, 0, 0]))
     assert issubclass(DataError, ValueError)  # callers catching ValueError keep working
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda ds: {"features": ds.features[:2]}, "feature count does not match schema"),
+        (lambda ds: {"features": tuple(f[:1] for f in ds.features), "y": ds.y[:1]},
+         "need at least 2 samples, got 1"),
+        (lambda ds: {"features": (ds.features[0][:2], *ds.features[1:])},
+         "feature columns and labels have mismatched lengths"),
+        (lambda ds: {"y": np.ones(3, np.int64)}, "degenerate labels: only one class present"),
+    ],
+    ids=["count", "rows", "lengths", "one-class"],
+)
+def test_dataset_checks_its_shape(toy_dataset, change, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        replace(toy_dataset, **change(toy_dataset))
 
 
 def test_encoded_dataset_checks_its_labels(toy_dataset):

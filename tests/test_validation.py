@@ -248,6 +248,51 @@ def test_kernel_consistency_single_candidate():
     assert kc.sensitive_rbf == kc.sensitive_linear
 
 
+def test_kernel_consistency_reports_argmax_flips(monkeypatch):
+    import fairdep.validation as validation
+
+    cats = {"race": ("a", "b", "c"), "edu": ("p", "q", "r"), "job": ("s", "t")}
+    schema = Schema(
+        columns=tuple(Column(name, "categorical", categories=c) for name, c in cats.items()),
+        label="y",
+        positive="1",
+    )
+    rng = np.random.default_rng(9)
+    features = [rng.choice(c, 60).astype(object) for c in cats.values()]
+    encoded = encode(dataset_from_arrays(schema, features, np.where(np.arange(60) % 2, 1, -1)))
+    # subfeature scores per kernel: each feature's top group differs between
+    # them, and job's top score is not positive under either
+    planted = {
+        "rbf": {"race": (0.4, 0.3, 0.1), "edu": (0.9, 0.1, 0.2), "job": (-2e-9, -3e-9)},
+        "linear": {"race": (0.2, 0.5, 0.1), "edu": (0.3, 0.35, 0.1), "job": (-4e-9, -1e-9)},
+    }
+    real = validation.score_features
+
+    def plant(encoded, cfg):
+        out = []
+        for fs in real(encoded, cfg):
+            subs = planted[cfg.kernel.kind][fs.name]
+            top = int(np.argmax(subs))
+            out.append(replace(fs, subfeature_scores=subs, score=subs[top], argmax=top))
+        return out
+
+    monkeypatch.setattr(validation, "score_features", plant)
+    kc = kernel_consistency(encoded)
+    flips = {f.feature: f for f in kc.argmax_flips}
+    assert [f.feature for f in kc.argmax_flips] == ["race", "edu", "job"]
+    assert [(f.group_rbf, f.group_linear) for f in flips.values()] == [
+        ("race_a", "race_b"), ("edu_p", "edu_q"), ("job_s", "job_t"),
+    ]
+    # the larger of the kernels' (top - other) / top: linear's for race, rbf's for edu
+    assert flips["race"].relative_gap == pytest.approx((0.5 - 0.2) / 0.5)
+    assert flips["edu"].relative_gap == pytest.approx((0.9 - 0.1) / 0.9)
+    assert flips["job"].relative_gap == 0.0  # top <= 0 under both kernels
+    assert kc.to_dict()["argmax_flips"][0] == {
+        "feature": "race", "group_rbf": "race_a", "group_linear": "race_b",
+        "relative_gap": flips["race"].relative_gap,
+    }
+
+
 # ---------------------------------------------------- spearman
 
 
