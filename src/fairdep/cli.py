@@ -16,6 +16,7 @@ import contextlib
 import functools
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -196,8 +197,9 @@ def _fold_map(folds: int):
       the first submit, before it starts its manager thread (CPython
       gh-90622);
     - the command's only other OS threads are the OpenBLAS pools of
-      numpy and scipy, which OpenBLAS's own `pthread_atfork` handlers
-      stop before the fork and restart on the next BLAS call;
+      numpy and of scipy (whose LAPACK module `fairdep.dependence`
+      loads), which OpenBLAS's own `pthread_atfork` handlers stop before
+      the fork and restart on the next BLAS call;
     - a worker runs only `forest.fit_predict`, which calls no BLAS or
       LAPACK routine.
     Python 3.12 and later count the BLAS threads and emit a
@@ -248,8 +250,6 @@ def cmd_validate(args) -> int:
     out = _outdir(args)
     encoded, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
-    from concurrent.futures import BrokenExecutor
-
     try:
         with _fold_map(args.folds) as fold_map:
             vreport = run_validation(

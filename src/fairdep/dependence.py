@@ -70,13 +70,23 @@ in O(n) and without a factorization. It is symmetric in the two values,
 so x and a + b - x give the same bits; a constant column gives 0. The
 label is such a column, and with ||u|| = 1 its R_y = a uu^T has
 a = u^T R_y u, the same form.
+
+Both Cholesky routes call LAPACK directly: dpotrf and dpotrs for the
+dense operator, dpbtrf and dpbtrs for the band, with the arguments
+`scipy.linalg`'s cho_factor, cho_solve, cholesky_banded and
+cho_solve_banded pass them. The routines are scipy's own, from its
+compiled module `scipy.linalg._flapack`, loaded by path without the
+`scipy.linalg` package (`_load_lapack`).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+import scipy
 
 from .errors import NumericsError, SchemaError
 from .kernels import LINEAR, KernelSpec, center, gram, kernel_input, scaled_down, value_band
@@ -102,6 +112,30 @@ def _check_pair(x, y):
     return x, y
 
 
+def _load_lapack():
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`, loaded by path.
+
+    `scipy.linalg.lapack` re-exports these very routines, but importing the
+    `scipy.linalg` package also loads scipy's array-API layer (numpy.f2py,
+    numpy.testing and more, about 0.2 s); this load takes 3-5 ms. The
+    `import scipy` above stays: scipy's own init sets up the DLL path of
+    its bundled OpenBLAS on Windows.
+    """
+    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"scipy {scipy.__version__} has no LAPACK extension {base} with a suffix in "
+        f"{importlib.machinery.EXTENSION_SUFFIXES}"
+    )
+
+
+_lapack = _load_lapack()
+
 _NOT_PD = "Gram plus ridge is not positive definite; the kernel matrix is broken (non-PSD input?)"
 
 
@@ -122,8 +156,9 @@ def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
     """R = G (G + n*eps*I)^{-1} for G = H K H, K a symmetric Gram.
 
     G and (G + n*eps*I)^{-1} commute, so R equals the solution Z of the
-    SPD system (G + n*eps*I) Z = G; Z comes from a Cholesky factorization
-    and is symmetrized to scrub rounding asymmetry.
+    SPD system (G + n*eps*I) Z = G; Z comes from LAPACK's Cholesky factor
+    and solve, dpotrf and dpotrs from scipy's `_flapack` (see the module
+    docstring), and is symmetrized to scrub rounding asymmetry.
 
     A dense reference, accurate while rounding in K stays small against
     the n*eps ridge. A linear-kernel Gram of large-magnitude values
@@ -139,11 +174,10 @@ def regularized_operator(K, epsilon: float = 1e-6) -> np.ndarray:
     G = center(K)
     A = np.asfortranarray(G)
     A.flat[:: A.shape[0] + 1] += A.shape[0] * epsilon
-    try:
-        factor = linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise NumericsError(_NOT_PD) from exc
-    R = linalg.cho_solve(factor, G, check_finite=False)
+    factor, info = _lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise NumericsError(_NOT_PD)
+    R, _ = _lapack.dpotrs(factor, G, lower=1)
     return (R + R.T) / 2.0
 
 
@@ -214,7 +248,8 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     and A = diag(sqrt c) K_v diag(sqrt c) + n*eps*I the uncentered value
     Gram (see the module docstring). A is held as its band of width kd
     (`value_band`): one (kd+1) x k buffer, which the banded Cholesky
-    factor overwrites, and one solve for both right-hand sides, in
+    factor (LAPACK dpbtrf) overwrites, and one solve (dpbtrs) for both
+    right-hand sides, in
     O(n log n + k kd^2) time and O(n + k kd) memory; no k x k array
     unless the band is full. The band drops the entries of values more
     than sqrt(s n) apart, s = min(ln(sqrt(n) / (2^-53 eps)), 746); the
@@ -249,15 +284,12 @@ def quadratic_form(x, u: np.ndarray, config: DependenceConfig = DependenceConfig
     w = root / np.sqrt(n)
     ab = value_band(values, n, root, config.epsilon)
     ab[0] += ridge
-    try:
-        factor = linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except linalg.LinAlgError as exc:  # K_v is positive definite: the ridge is below rounding
+    factor, info = _lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:  # K_v is positive definite: the ridge is below rounding
         raise NumericsError(
             f"the banded factor failed at epsilon = {config.epsilon:g} (ridge n*epsilon = "
             f"{ridge:.3g}, below its rounding); raise --epsilon"
-        ) from exc
-    p, q = linalg.cho_solve_banded(
-        (factor, True), np.column_stack([t, w]), overwrite_b=True, check_finite=False
-    ).T
+        )
+    p, q = _lapack.dpbtrs(factor, np.column_stack([t, w]), lower=1, overwrite_b=1)[0].T
     wp = float(w @ p)
     return float(t @ t) - ridge * (float(t @ p) - wp * wp / float(w @ q))

@@ -12,6 +12,7 @@ can use it without loading `fairdep.data`.
 """
 
 import numpy as np
+import numpy.ma  # else np.unique (numpy 2.4) imports it at its first call, inside a command
 
 
 class FairdepError(Exception):

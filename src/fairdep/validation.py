@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # else the first np.random call imports it, inside a command
 
 from .data import EncodedDataset, write_json
 from .dependence import DependenceConfig

@@ -180,6 +180,21 @@ def test_tiny_epsilon_error_names_epsilon(tmp_path, synth_files, capsys):
     assert "raise --epsilon" in err
 
 
+def test_audit_imports_no_numpy_or_scipy_module(synth_files, tmp_path):
+    # what `import fairdep.cli` leaves for a command to load would count
+    # into the command's own time
+    data, schema_path = synth_files
+    argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, fairdep.cli; before = set(sys.modules); "
+        f"code = fairdep.cli.main({argv!r}); "
+        "print(code, *sorted(m for m in set(sys.modules) - before if m.startswith(('numpy.', 'scipy'))))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1:] == [str(EXIT_OK)], done.stdout
+
+
 def test_out_naming_a_file_is_config_error(tmp_path, synth_files, capsys):
     data, schema_path = synth_files
     taken = tmp_path / "taken"

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from fairdep import DependenceConfig, KernelSpec, NumericsError, gram, hsic, nocco
 from fairdep.dependence import label_direction, quadratic_form, regularized_operator
-from fairdep.kernels import LINEAR, RBF
+from fairdep.kernels import LINEAR, RBF, center, value_band
 
 from oracles import naive_hsic, naive_nocco, value_gram
 
@@ -310,16 +312,102 @@ def _value_space_form(x, u, epsilon):
 def test_banded_quadratic_form_matches_dense_value_reference(shape, epsilon, rel):
     # the band drops every entry of values more than sqrt(s n) apart; against
     # the full k x k value Gram the form still agrees to rounding level
+    cfg = DependenceConfig(KernelSpec(RBF), epsilon)
+    x, u = _shaped_column(shape, cfg)
+    assert quadratic_form(x, u, cfg) == pytest.approx(_value_space_form(x, u, epsilon), rel=rel)
+
+
+def _shaped_column(shape, cfg, n=2000):
+    """A money-, pay- or uniform-shaped column of many distinct values, and a label's u."""
     rng = np.random.default_rng(20)
-    n = 2000
     x = {
         "money": lambda: np.round(rng.lognormal(np.log(22000), 1.2, n)),
         "pay": lambda: np.round(rng.lognormal(np.log(2500), 1.1, n)),
         "uniform": lambda: np.round(rng.uniform(0.0, 20_000.0, n)),
     }[shape]()
-    cfg = DependenceConfig(KernelSpec(RBF), epsilon)
     u, _ = label_direction(np.where(x + rng.normal(0, 5000, n) > 20_000, 1.0, -1.0), cfg)
-    assert quadratic_form(x, u, cfg) == pytest.approx(_value_space_form(x, u, epsilon), rel=rel)
+    return x, u
+
+
+@pytest.mark.parametrize("shape", ["money", "pay", "uniform"])
+def test_banded_form_equals_scipy_linalg_arithmetic(shape):
+    # the LAPACK routines loaded by path are the ones scipy.linalg's
+    # cholesky_banded and cho_solve_banded call, so every bit is the same
+    from scipy import linalg
+
+    x, u = _shaped_column(shape, GAUSS)
+    n = x.size
+    ridge = n * EPS
+    values, code, counts = np.unique(x, return_inverse=True, return_counts=True)
+    root = np.sqrt(counts)
+    t = np.bincount(code, u) / root
+    w = root / np.sqrt(n)
+    ab = value_band(values, n, root, EPS)
+    assert ab.shape[0] > 1  # a band, not a diagonal
+    ab[0] += ridge
+    factor = linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    p, q = linalg.cho_solve_banded(
+        (factor, True), np.column_stack([t, w]), overwrite_b=True, check_finite=False
+    ).T
+    wp = float(w @ p)
+    assert quadratic_form(x, u, GAUSS) == float(t @ t) - ridge * (float(t @ p) - wp * wp / float(w @ q))
+
+
+def test_operator_equals_scipy_linalg_arithmetic():
+    from scipy import linalg
+
+    rng = np.random.default_rng(21)
+    K = gram(rng.standard_normal(200), KernelSpec(RBF))
+    G = center(K)
+    A = np.asfortranarray(G)
+    A.flat[:: A.shape[0] + 1] += A.shape[0] * EPS
+    R = linalg.cho_solve(linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False), G)
+    assert (regularized_operator(K, EPS) == (R + R.T) / 2.0).all()
+
+
+_SCORE_IN_A_FRESH_INTERPRETER = """
+import hashlib, sys
+if sys.argv[1] == "before":
+    import scipy.linalg
+import numpy as np
+from fairdep.dependence import DependenceConfig, label_direction, quadratic_form, regularized_operator
+from fairdep.kernels import KernelSpec, gram
+if sys.argv[1] == "after":
+    import scipy.linalg
+rng = np.random.default_rng(22)
+x = np.round(rng.lognormal(np.log(22000), 1.2, 2000))
+cfg = DependenceConfig(KernelSpec("rbf"))
+u, a = label_direction(np.where(x + rng.normal(0, 5000, 2000) > 20_000, 1.0, -1.0), cfg)
+R = regularized_operator(gram(x[:200], cfg.kernel), cfg.epsilon)
+print(a.hex(), quadratic_form(x, u, cfg).hex(), hashlib.sha256(R.tobytes()).hexdigest())
+"""
+
+
+def test_scores_do_not_depend_on_when_scipy_linalg_is_imported():
+    # dependence loads scipy's LAPACK module by path; a scipy.linalg import
+    # before or after it must find and keep the same routines
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _SCORE_IN_A_FRESH_INTERPRETER, order],
+            capture_output=True, text=True, timeout=120,
+        )
+        for order in ("before", "after")
+    ]
+    assert [done.returncode for done in runs] == [0, 0], [done.stderr for done in runs]
+    before, after = (done.stdout.split() for done in runs)
+    assert len(before) == 3 and before == after
+
+
+def test_missing_lapack_extension_names_its_path_and_scipy_version():
+    code = (
+        "import importlib.machinery, scipy; importlib.machinery.EXTENSION_SUFFIXES[:] = ['.none']; "
+        "print(scipy.__version__); import fairdep.dependence"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    version = done.stdout.strip()
+    assert f"ImportError: scipy {version} has no LAPACK extension " in done.stderr
+    assert "_flapack with a suffix in ['.none']" in done.stderr
 
 
 def _closed_form_inputs(n):
@@ -494,8 +582,8 @@ def test_two_valued_columns_need_no_factor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("two-valued columns take the closed form")
 
-    monkeypatch.setattr(dependence.linalg, "cholesky_banded", refuse)
-    monkeypatch.setattr(dependence.linalg, "cho_solve_banded", refuse)
+    monkeypatch.setattr(dependence._lapack, "dpbtrf", refuse)
+    monkeypatch.setattr(dependence._lapack, "dpbtrs", refuse)
     rng = np.random.default_rng(18)
     n = 200
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
