@@ -4,7 +4,8 @@ Every run writes its full effective configuration (defaults and seeds
 included) into its JSON output, so reruns are bit-reproducible. Exit
 codes separate failure families: 2 for configuration problems
 (SchemaError), 3 for data problems (DataError), 4 for numerical
-failures (NumericsError), 5 for a validation worker process that died.
+failures (NumericsError), 5 for a worker process that died (one of
+validate's fold workers, or a reader of part of a large CSV).
 Any other exception is a bug and ends with a traceback (exit 1).
 """
 
@@ -14,7 +15,6 @@ import argparse
 import collections
 import contextlib
 import functools
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -30,6 +30,7 @@ from .kernels import KERNEL_KINDS, KernelSpec
 from .synth import PlantedFeature, SynthSpec, generate
 from .validation import validate as run_validation
 from .validation import write_scatter_csv
+from .workers import FORKS, usable_cpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,15 +172,7 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-# macOS system frameworks are not fork-safe and Windows has no fork
-FOLD_START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
+FOLD_START_METHOD = "fork" if FORKS else "spawn"
 
 
 @contextlib.contextmanager
@@ -214,7 +207,7 @@ def _fold_map(folds: int):
     library without an `if __name__ == "__main__":` guard would start it
     again in every spawned worker.
     """
-    workers = min(folds, _usable_cpus())
+    workers = min(folds, usable_cpus())
     if workers <= 1:
         yield map
         return
@@ -250,20 +243,16 @@ def cmd_validate(args) -> int:
     out = _outdir(args)
     encoded, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
-    try:
-        with _fold_map(args.folds) as fold_map:
-            vreport = run_validation(
-                encoded,
-                report,
-                folds=args.folds,
-                forest=forest,
-                seed=args.seed,
-                exclude_sensitive=args.exclude_sensitive_from_training,
-                fold_map=fold_map,
-            )
-    except BrokenExecutor as exc:  # a worker died, for example killed for memory
-        print(f"error (workers): {exc}", file=sys.stderr)
-        return EXIT_WORKER
+    with _fold_map(args.folds) as fold_map:
+        vreport = run_validation(
+            encoded,
+            report,
+            folds=args.folds,
+            forest=forest,
+            seed=args.seed,
+            exclude_sensitive=args.exclude_sensitive_from_training,
+            fold_map=fold_map,
+        )
     vreport.to_json(out / "validation.json")
     write_scatter_csv(vreport, args.kernel, out / "scatter.csv")
     acc = float(np.mean(vreport.fold_accuracy))
@@ -328,6 +317,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error (numerics): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenExecutor as exc:  # a fold worker or a CSV range reader died
+        print(f"error (workers): {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def run() -> None:

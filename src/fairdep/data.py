@@ -15,16 +15,19 @@ for numeric sources, ascending `bins` cut points; intervals are
 half-open on the right, so bins=[25, 60] buckets values as x < 25,
 25 <= x < 60, x >= 60.
 
-`load_dataset` reads the CSV in blocks of `BLOCK_ROWS` records and
-transposes each block with one `zip`. A numeric or binned column is
-float64 in every block: one conversion of the whole block when that
-proves the block holds no missing marker (see `load_dataset`), and
-otherwise a read of each cell, stripped once, in which a marker marks
-its row to drop. Binary, categorical and label columns are coded as
-int32 against their column's table of raw cells; after the last block
-each distinct cell is stripped once, the markers among them complete
-one mask of the rows to keep, and the recodes and checks run on the
-distinct cells that kept rows use. Such a column is then its table
+`load_dataset` reads a CSV path with no quote character in byte ranges
+of at least `SPLIT_BYTES`, at most one per usable CPU, where validate's
+fold workers fork (Linux): this process reads the first range and a
+forked process each other one, and their reads merge in file order. Each
+range is read in blocks of `BLOCK_ROWS` records, each block transposed
+with one `zip`. A numeric or binned column is float64 in every block,
+by one conversion of the raw cells where it can, and otherwise by one
+conversion of the stripped cells that are not missing markers; a marker
+marks its row to drop. Binary, categorical and label columns are coded
+as int32 against their column's table of raw cells; after the last
+block each distinct cell is stripped once, the markers among them
+complete one mask of the rows to keep, and the recodes and checks run on
+the distinct cells that kept rows use. Such a column is then its table
 indexed by its codes. The result and every error (type, message and
 precedence) are those of a row-by-row reader: a value error is raised
 only after the whole file has been read, so an earlier bad value never
@@ -34,9 +37,14 @@ hides a later short row.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from contextlib import suppress
+import os
+import pickle
+import signal
+from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
 
@@ -44,6 +52,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError, signs
 from .kernels import scaled_down
+from .workers import FORKS, usable_cpus
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -53,6 +62,7 @@ COLUMN_KINDS = (NUMERIC, BINARY, CATEGORICAL)
 DEFAULT_MISSING = ("", "?", "NA")
 
 BLOCK_ROWS = 1024  # CSV records read and transposed per step of `load_dataset`
+SPLIT_BYTES = 1 << 19  # the least bytes per range of a CSV read by forked readers
 
 
 @dataclass(frozen=True)
@@ -346,10 +356,77 @@ class EncodedDataset:
         return cats[picks]
 
 
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of the file open as descriptor `fd`, read by position.
+
+    A forked reader shares the descriptor's offset with its parent, so no
+    reader moves it. `tell` is the absolute offset in the file.
+    """
+
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.start, self.end, self.pos = fd, start, end, start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        read = os.preadv(self.fd, [memoryview(buffer)[: self.end - self.pos]], self.pos)
+        self.pos += read
+        return read
+
+    def tell(self) -> int:
+        return self.pos
+
+
+def _text(raw, encoding: str):
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding, newline="")
+
+
+@contextmanager
 def _open_csv(csv_source):
+    """The text stream of a CSV's first byte range, and the `_ByteRange`s after it.
+
+    A file object is read as it is, in one range.
+    """
     if hasattr(csv_source, "read"):
-        return csv_source, False
-    return open(csv_source, "r", encoding="utf-8-sig", newline=""), True
+        yield csv_source, []
+        return
+    with open(csv_source, "rb", buffering=0) as raw:
+        ranges = [_ByteRange(raw.fileno(), *cut) for cut in _byte_ranges(raw.fileno())]
+        with _text(ranges[0], "utf-8-sig") as fh:
+            yield fh, ranges[1:]
+
+
+def _byte_ranges(fd: int) -> list[tuple[int, int]]:
+    """The byte ranges a CSV file is read in: one, unless it splits.
+
+    Where the fold workers fork, a file with no `"` splits into
+    min(usable CPUs, size // SPLIT_BYTES) ranges when that is two or more:
+    the bytes after the first line are cut into about equal shares, each
+    but the last ending just after a newline, and the first range starts
+    with the first line. With no quote character, every newline ends a
+    record, so each range holds whole records.
+    """
+    size = os.fstat(fd).st_size
+    parts = min(usable_cpus(), size // SPLIT_BYTES) if FORKS else 1
+    if parts < 2 or _find(fd, b'"', 0) >= 0 or (head := _find(fd, b"\n", 0) + 1) == 0:
+        return [(0, size)]
+    cuts = [0]
+    for k in range(1, parts):
+        cut = _find(fd, b"\n", head + k * (size - head) // parts) + 1
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _find(fd: int, byte: bytes, start: int) -> int:
+    """The offset of the first `byte` at or after `start` in the file, or -1."""
+    buffer = bytearray(1 << 16)
+    while read := os.preadv(fd, [buffer], start):
+        if (at := buffer.find(byte, 0, read)) >= 0:
+            return start + at
+        start += read
+    return -1
 
 
 def load_dataset(csv_source, schema: Schema) -> Dataset:
@@ -359,14 +436,16 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     are dropped and counted in `dropped_rows`. Cell whitespace is
     stripped before interpretation.
 
-    Records are read in blocks of `BLOCK_ROWS` and transposed by one
-    `zip`. A block of a numeric or binned column takes one float64
-    conversion when it succeeds, every value is finite and no value
-    equals a marker's own float value: numpy converts each cell with
-    float(), which accepts only surrounding whitespace that str.strip
-    also removes, so a cell whose stripped text is a marker either fails
-    to convert or gives exactly that value. Any other block of such a
-    column is read cell by cell (`_floats`): a marker sets its row in a
+    A path is read in byte ranges (see `_byte_ranges`): the first by this
+    process, each other one by a forked process (`_fork_reader`) that
+    pickles what it read down a pipe. Each range's records go through
+    `_scan`, and the scans are merged in file order (`_Scan.extend`).
+    A file object, a small or quoted file, and every platform but Linux
+    take one range.
+
+    `_scan` reads records in blocks of `BLOCK_ROWS` and transposes each
+    by one `zip`. A block of a numeric or binned column is float64, by
+    one conversion where it can (`_floats`): a marker sets its row in a
     drop mask of all rows, and only a cell that is neither a marker nor a
     finite number is kept, with its row, for the error message. Blocks of
     binary, categorical and label columns are coded as int32 against
@@ -388,43 +467,173 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
       5. label errors.
 
     Paths are read as UTF-8 with an optional byte-order mark; a byte that
-    does not decode raises DataError naming its offset in the file.
+    does not decode raises DataError naming its offset in the file. Of
+    the errors of step 2 and the undecodable bytes, the one in the
+    earliest byte range counts. A forked reader that ends without a
+    result raises `concurrent.futures.BrokenExecutor`; every reader is
+    reaped before this returns or raises.
     """
-    fh, should_close = _open_csv(csv_source)
-    try:
-        bad: list[csv.Error] = []
-        reader = _records(fh, bad)
-        header = next(reader, None)
-        if header is None:
-            _raise_malformed(1, bad)
-            raise DataError("CSV is empty")
-        header = [h.strip() for h in header]
-        needed = list(schema.names) + [schema.label]
-        for name in needed:
-            if name not in header:
-                raise DataError(f"unknown column: {name!r} not in CSV header")
-            if header.count(name) > 1:
-                raise DataError(f"duplicate column: {name!r} repeats in CSV header")
-        positions = [header.index(name) for name in needed]
-        width = max(positions) + 1
-        # each marker, and its float value (None when float() rejects it)
-        missing = {marker: _number(marker) for marker in schema.missing_values}
-        # float64 per block, or (the label too) coded per distinct cell
-        floats = [col.kind == NUMERIC or col.bins is not None for col in schema.columns] + [False]
-        # per column, each block's float64 values or its int32 codes into `index`
-        parts: list[list[np.ndarray]] = [[] for _ in needed]
-        index: list[dict[str, int]] = [{} for _ in needed]  # raw cell -> code
-        # a row is an index into the non-blank records; per float64 column, the
-        # (row, stripped cell) of each cell neither a marker nor a finite number
-        rejects: list[list[tuple[int, str]]] = [[] for _ in needed]
-        drop = bytearray()  # per row, 1 when a float64 column holds a marker there
+    needed = list(schema.names) + [schema.label]
+    # each marker, and its float value (None when float() rejects it)
+    missing = {marker: _number(marker) for marker in schema.missing_values}
+    # float64 per block, or (the label too) coded per distinct cell
+    floats = [col.kind == NUMERIC or col.bins is not None for col in schema.columns] + [False]
+    with _open_csv(csv_source) as (fh, ranges):
+        scan = _read_csv(fh, ranges, needed, floats, missing)
 
-        row_no = 2
-        while block := list(islice(reader, BLOCK_ROWS)):
+    # a marker in any column drops its row; each coded distinct cell is stripped once
+    keep = ~np.frombuffer(scan.drop, bool)
+    tables = [[cell.strip() for cell in table] for table in scan.index]
+    parts = scan.parts
+    for j, table in enumerate(tables):
+        if (marked := np.array([cell in missing for cell in table], bool)).any():
+            keep &= ~marked[np.concatenate(parts[j])]
+    n = int(np.count_nonzero(keep))
+    if n < 2:
+        raise DataError(f"fewer than 2 rows survive missing-value removal (got {n})")
+
+    features = []
+    for j, col in enumerate(schema.columns):
+        if floats[j]:
+            if bad_cells := [cell for row, cell in scan.rejects[j] if keep[row]]:  # in row order
+                kind = "non-numeric" if _number(bad_cells[0]) is None else "non-finite"
+                raise DataError(f"column {col.name!r}: {kind} value {bad_cells[0]!r}")
+            # the blocks are freed before the next column is joined
+            values, parts[j] = np.concatenate(parts[j]), []
+            values = values[keep]
+        else:
+            cells, values = _kept_cells(tables[j], parts[j], keep)
+            values = np.array(_interpret_values(col, cells), dtype=object)[values]
+        if col.bins is not None:
+            bin_of = np.searchsorted(np.asarray(col.bins), values, side="right")
+            values = np.array(col.categories, dtype=object)[bin_of]
+        features.append(values)
+    labels, codes = _kept_cells(tables[-1], parts[-1], keep)
+    if schema.positive not in labels:
+        raise DataError(
+            f"degenerate labels: positive value {schema.positive!r} never observed"
+        )
+    if all(v == schema.positive for v in labels):
+        raise DataError("degenerate labels: only the positive class present")
+    sign = np.array([1 if v == schema.positive else -1 for v in labels], dtype=np.int64)
+    negatives = sorted({v for v in labels if v != schema.positive})
+    return Dataset(
+        schema=schema,
+        features=tuple(features),
+        y=sign[codes],
+        dropped_rows=keep.size - n,
+        negative_display=negatives[0] if len(negatives) == 1 else None,
+    )
+
+
+def _read_csv(fh, ranges: list[_ByteRange], needed: list[str], floats, missing) -> "_Scan":
+    """Check the header, then scan `fh` and every later byte range, merged in file order.
+
+    The readers of the later ranges are forked once the header has
+    passed its checks, and each is killed if still running and reaped
+    before this returns or raises, a KeyboardInterrupt included.
+    """
+    bad: list[csv.Error] = []
+    records = _records(fh, bad)
+    try:
+        header = next(records, None)
+    except UnicodeDecodeError as exc:
+        raise DataError(_undecodable(fh, exc)) from None
+    if header is None:
+        if bad:
+            raise DataError(f"row 1: malformed CSV record: {bad[0]}")
+        raise DataError("CSV is empty")
+    header = [h.strip() for h in header]
+    for name in needed:
+        if name not in header:
+            raise DataError(f"unknown column: {name!r} not in CSV header")
+        if header.count(name) > 1:
+            raise DataError(f"duplicate column: {name!r} repeats in CSV header")
+    layout = ([header.index(name) for name in needed], floats, missing)
+    readers: dict[int, io.BufferedReader] = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        for byte_range in ranges:
+            _fork_reader(readers, byte_range, layout)
+        scan = _scan(fh, records, bad, *layout)
+        for byte_range, pid in zip(ranges, list(readers)):
+            if scan.error is not None:
+                break
+            scan.extend(_collect(readers, pid, byte_range), floats)
+    finally:
+        for pid, pipe in readers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if scan.error is not None:
+        row, text = scan.error
+        raise DataError(text if row is None else f"row {row}: {text}")
+    return scan
+
+
+@dataclass
+class _Scan:
+    """What `_scan` read of one byte range, or of several merged in file order.
+
+    Per needed column j (the schema's columns, then the label):
+    `parts[j]`, each block's float64 values or its int32 codes into
+    `index[j]` (raw cell -> code); `rejects[j]`, the (row, stripped cell)
+    of each cell of a float64 column that is neither a marker nor a finite
+    number, where a row is an index into the non-blank records. `drop`
+    holds 1 per row where a float64 column holds a marker. `records`
+    counts every record, blank ones included; `error` is the first
+    short-row, malformed-record or decode error as (file-order row
+    number, or None for a byte offset, text).
+    """
+
+    parts: list[list[np.ndarray]]
+    index: list[dict[str, int]]
+    rejects: list[list[tuple[int, str]]]
+    drop: bytearray
+    records: int = 0
+    error: tuple[int | None, str] | None = None
+
+    def extend(self, later: "_Scan", floats) -> None:
+        """Append the scan of the byte range after this one.
+
+        Its row numbers and row indices move past this one's; its codes are
+        remapped into this scan's tables.
+        """
+        if later.error is not None:
+            row, text = later.error
+            self.error = (None if row is None else row + self.records, text)
+        self.records += later.records
+        rows = len(self.drop)
+        self.drop += later.drop
+        for j, blocks in enumerate(later.parts):
+            if floats[j]:
+                self.parts[j] += blocks
+                self.rejects[j] += [(row + rows, cell) for row, cell in later.rejects[j]]
+            else:
+                index = self.index[j]
+                remap = [index.setdefault(cell, len(index)) for cell in later.index[j]]
+                remap = np.array(remap, np.int32)
+                self.parts[j] += [remap[codes] for codes in blocks]
+
+
+def _scan(fh, records, bad: list, positions: list[int], floats, missing) -> _Scan:
+    """Read the records of one byte range (the rest of `fh`) in blocks of `BLOCK_ROWS`.
+
+    Row numbers start at 2, as after a header. A short row, a malformed
+    record or a byte that does not decode ends the range and is kept as
+    the scan's `error`, not raised, so a later range's error cannot
+    outrank it.
+    """
+    width = max(positions) + 1
+    scan = _Scan([[] for _ in positions], [{} for _ in positions], [[] for _ in positions], bytearray())
+    parts, index, rejects, drop = scan.parts, scan.index, scan.rejects, scan.drop
+    row_no = 2
+    try:
+        while block := list(islice(records, BLOCK_ROWS)):
             lengths = np.fromiter(map(len, block), np.intp, len(block))
             short = np.flatnonzero((lengths > 0) & (lengths < width))
             if short.size:
-                raise DataError(f"row {row_no + int(short[0])}: too few fields")
+                scan.error = (row_no + int(short[0]), "too few fields")
+                return scan
             row_no += len(block)
             if not lengths.all() and not (block := list(filter(None, block))):  # blank records
                 continue
@@ -438,75 +647,92 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
                 else:
                     parts[j].append(_code(index[j], cells))
             del columns, cells
-        _raise_malformed(row_no, bad)
-
-        # a marker in any column drops its row; each coded distinct cell is stripped once
-        keep = ~np.frombuffer(drop, bool)
-        tables = [[cell.strip() for cell in table] for table in index]
-        for j, table in enumerate(tables):
-            if (marked := np.array([cell in missing for cell in table], bool)).any():
-                keep &= ~marked[np.concatenate(parts[j])]
-        n = int(np.count_nonzero(keep))
-        if n < 2:
-            raise DataError(f"fewer than 2 rows survive missing-value removal (got {n})")
-
-        features = []
-        for j, col in enumerate(schema.columns):
-            if floats[j]:
-                if bad_cells := [cell for row, cell in rejects[j] if keep[row]]:  # in row order
-                    kind = "non-numeric" if _number(bad_cells[0]) is None else "non-finite"
-                    raise DataError(f"column {col.name!r}: {kind} value {bad_cells[0]!r}")
-                # the blocks are freed before the next column is joined
-                values, parts[j] = np.concatenate(parts[j]), []
-                values = values[keep]
-            else:
-                cells, values = _kept_cells(tables[j], parts[j], keep)
-                values = np.array(_interpret_values(col, cells), dtype=object)[values]
-            if col.bins is not None:
-                bin_of = np.searchsorted(np.asarray(col.bins), values, side="right")
-                values = np.array(col.categories, dtype=object)[bin_of]
-            features.append(values)
-        labels, codes = _kept_cells(tables[-1], parts[-1], keep)
-        if schema.positive not in labels:
-            raise DataError(
-                f"degenerate labels: positive value {schema.positive!r} never observed"
-            )
-        if all(v == schema.positive for v in labels):
-            raise DataError("degenerate labels: only the positive class present")
-        sign = np.array([1 if v == schema.positive else -1 for v in labels], dtype=np.int64)
-        negatives = sorted({v for v in labels if v != schema.positive})
-        return Dataset(
-            schema=schema,
-            features=tuple(features),
-            y=sign[codes],
-            dropped_rows=keep.size - n,
-            negative_display=negatives[0] if len(negatives) == 1 else None,
-        )
     except UnicodeDecodeError as exc:
-        # the text layer decodes the bytes in chunks, and exc.object is the
-        # chunk holding the bad byte, which ends where the byte stream stands
-        offset = fh.buffer.tell() - len(exc.object) + exc.start
-        raise DataError(f"byte {offset}: not valid UTF-8 ({exc.reason})") from None
-    finally:
-        if should_close:
-            fh.close()
+        scan.error = (None, _undecodable(fh, exc))
+        return scan
+    if bad:
+        scan.error = (row_no, f"malformed CSV record: {bad[0]}")
+    scan.records = row_no - 2
+    return scan
+
+
+def _undecodable(fh, exc: UnicodeDecodeError) -> str:
+    # the text layer decodes the bytes in chunks, and exc.object is the
+    # chunk holding the bad byte, which ends where the byte stream stands
+    offset = fh.buffer.tell() - len(exc.object) + exc.start
+    return f"byte {offset}: not valid UTF-8 ({exc.reason})"
+
+
+def _fork_reader(readers: dict, byte_range: _ByteRange, layout) -> None:
+    """Fork a process that scans `byte_range` and pickles its `_Scan` down a pipe.
+
+    `readers` maps the child's pid to the pipe's read end. The child ends
+    by `os._exit` whatever happens, so it never runs the parent's atexit
+    handlers or flushes the parent's buffered output. The fork is safe
+    for the reasons `cli._fold_map` gives for the fold workers: the
+    command's only other threads are OpenBLAS's, which its own
+    `pthread_atfork` handlers stop, and the child calls no BLAS routine.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_read_range(byte_range, *layout), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    readers[pid] = open(read_end, "rb")
+
+
+def _read_range(byte_range: _ByteRange, positions, floats, missing) -> _Scan:
+    """Scan a byte range after the first: what a forked reader runs.
+
+    Each column's blocks are joined into one array, so the parent
+    unpickles one per column and not one per block, each with its own
+    array and buffer objects.
+    """
+    fh = _text(byte_range, "utf-8")
+    bad: list[csv.Error] = []
+    scan = _scan(fh, _records(fh, bad), bad, positions, floats, missing)
+    scan.parts = [[np.concatenate(blocks)] if blocks else [] for blocks in scan.parts]
+    return scan
+
+
+def _collect(readers: dict, pid: int, byte_range: _ByteRange) -> _Scan:
+    """The forked reader's scan of `byte_range`, once the reader has been reaped."""
+    try:
+        scan = pickle.load(readers[pid])
+    except (EOFError, pickle.UnpicklingError):  # it ended before it wrote the whole scan
+        scan = None
+    readers.pop(pid).close()
+    status = os.waitpid(pid, 0)[1]
+    if scan is None or status != 0:
+        raise BrokenExecutor(
+            f"the reader of bytes {byte_range.start} to {byte_range.end} of the CSV "
+            f"ended without a result (wait status {status})"
+        )
+    return scan
 
 
 def _records(fh, bad: list):
     """The CSV records of `fh`; a malformed one ends them, its csv.Error put in `bad`.
 
     The records before it are still yielded, so a short row among them
-    raises first.
+    counts first.
     """
     try:
         yield from csv.reader(fh)
     except csv.Error as exc:
         bad.append(exc)
-
-
-def _raise_malformed(row_no: int, bad: list) -> None:
-    if bad:
-        raise DataError(f"row {row_no}: malformed CSV record: {bad[0]}")
 
 
 def _code(index: dict[str, int], cells) -> np.ndarray:
@@ -568,31 +794,39 @@ def _categories(col: Column, values) -> tuple[str, ...]:
 
 
 def _floats(cells, missing: dict, drop: bytearray, rejects: list):
-    """A block of a float64 column's cells as float64, by one conversion when it can.
+    """A block of a float64 column's cells as float64, by one conversion where it can.
 
-    The conversion stands when it succeeds, every value is finite and none
-    equals a marker's own float value (`missing` maps each marker to it,
-    or to None): numpy converts each cell with float(), which accepts only
-    surrounding whitespace that str.strip also removes, so a cell whose
-    stripped text is a marker either fails to convert or gives exactly
-    that value. Otherwise each cell is stripped once and read on its own.
-    The block's rows are the last `len(cells)` of `drop`. A marker sets
-    its row there; a cell that is neither a marker nor a finite number
-    reads as nan, and its row and stripped text go to `rejects`.
+    The conversion of the raw cells stands when it succeeds, every value
+    is finite and none equals a marker's own float value (`missing` maps
+    each marker to it, or to None): numpy converts each cell with float(),
+    which accepts only surrounding whitespace that str.strip also removes,
+    so a cell whose stripped text is a marker either fails to convert or
+    gives exactly that value. Otherwise each cell is stripped once and the
+    markers set their rows in `drop`, where the block's rows are the last
+    `len(cells)`; the other cells take one conversion, or, in a block where
+    it fails, one float() each. A cell that is neither a marker nor a
+    finite number goes to `rejects` with its row and stripped text.
     """
     with suppress(ValueError):
         values = np.asarray(cells, dtype=np.float64)
         clash = any((values == v).any() for v in missing.values() if v is not None)
         if np.isfinite(values).all() and not clash:
             return values
-    values = np.full(len(cells), np.nan)
-    for i, cell in enumerate(map(str.strip, cells)):
-        if cell in missing:
-            drop[i - len(cells)] = True
-        elif (number := _number(cell)) is not None and math.isfinite(number):
-            values[i] = number
-        else:
-            rejects.append((len(drop) - len(cells) + i, cell))
+    size, first = len(cells), len(drop) - len(cells)
+    stripped = [cell.strip() for cell in cells]
+    marked = np.fromiter(map(missing.__contains__, stripped), bool, size)
+    if marked.any():
+        drop[first:] = (np.frombuffer(drop, bool, size, first) | marked).tobytes()
+    rows = np.flatnonzero(~marked)
+    kept = [stripped[i] for i in rows.tolist()]
+    try:
+        numbers = np.asarray(kept, dtype=np.float64)
+    except ValueError:  # a cell that is no number: None, which reads as nan
+        numbers = np.array([_number(cell) for cell in kept], dtype=np.float64)
+    for k in np.flatnonzero(~np.isfinite(numbers)).tolist():
+        rejects.append((first + int(rows[k]), kept[k]))
+    values = np.full(size, np.nan)
+    values[rows] = numbers
     return values
 
 

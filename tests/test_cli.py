@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from fairdep import DataError, ForestConfig, NumericsError, RandomForest, SchemaError, encode
 from fairdep import cli as cli_module
+from fairdep import data as data_module
 from fairdep import validation as validation_module
 from fairdep.dependence import DependenceConfig, regularized_operator
 from fairdep.detector import FeatureScore, detect, score_features, subsample
@@ -28,6 +30,9 @@ from fairdep.cli import (
     main,
 )
 from fairdep.validation import stratified_folds, validate, write_scatter_csv
+from fairdep.workers import FORKS
+
+from conftest import needs_fork, split_loads
 
 REPO = Path(__file__).resolve().parents[1]
 _SCORES = [FeatureScore("a", "binary", True, ("a_1",), (0.5,), 0.5, 0)]
@@ -193,6 +198,28 @@ def test_audit_imports_no_numpy_or_scipy_module(synth_files, tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1:] == [str(EXIT_OK)], done.stdout
+    if not FORKS:
+        return
+    # read in two byte ranges, the command imports no module of any kind
+    # but the text codec that opening the CSV imports on either path, and
+    # reaps its one reader
+    code = f"""
+import os, sys, fairdep.cli, fairdep.data
+fairdep.data.SPLIT_BYTES = 1
+os.sched_getaffinity = lambda pid: {{0, 1}}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+before = set(sys.modules)
+code = fairdep.cli.main({argv!r})
+new = sorted(set(sys.modules) - before - {{"encodings.utf_8_sig"}})
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(code, len(forks), *new)
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == [str(EXIT_OK), "1"], done.stdout
 
 
 def test_out_naming_a_file_is_config_error(tmp_path, synth_files, capsys):
@@ -544,9 +571,11 @@ def test_undecodable_csv_byte_is_data_error(tmp_path, toy_files, capsys):
     head = b"gender,ncrimes,age,recid\n" + b"male,2,30-60,yes\nfemale,0,<30,no\n" * 400
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(head + b"f\xe9male,1,>60,no\n")  # Latin-1 e-acute past the first 8 KiB
-    code = main(["audit", "--data", str(bad), "--schema", str(schema_path), "--out", str(tmp_path / "o")])
-    assert code == EXIT_DATA
-    assert f"byte {len(head) + 1}: not valid UTF-8" in capsys.readouterr().err
+    for split in (contextlib.nullcontext(), split_loads(2) if FORKS else contextlib.nullcontext()):
+        with split:  # in two byte ranges, the byte is the second range's
+            code = main(["audit", "--data", str(bad), "--schema", str(schema_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert f"byte {len(head) + 1}: not valid UTF-8" in capsys.readouterr().err
 
 
 # ------------------------------------- validate's folds on worker processes
@@ -677,6 +706,27 @@ def test_dead_worker_is_reported_with_its_own_exit_code(tmp_path, synth_files, m
     assert main(argv) == EXIT_WORKER
     err = capsys.readouterr().err
     assert err.startswith("error (workers): ") and "Traceback" not in err
+
+
+@needs_fork
+@pytest.mark.parametrize("command", ["audit", "validate", "encode"])
+def test_dead_csv_reader_is_reported_with_the_worker_exit_code(tmp_path, synth_files, forced_split, monkeypatch, capsys, command):
+    parent, read_range = os.getpid(), data_module._read_range
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return read_range(*args)
+
+    monkeypatch.setattr(data_module, "_read_range", dying)
+    data, schema_path = synth_files
+    argv = [command, "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_WORKER
+    err = capsys.readouterr().err
+    # the one line load_dataset's BrokenExecutor gives, naming the byte range
+    want = r"error \(workers\): the reader of bytes \d+ to \d+ of the CSV ended without a result \(wait status 256\)\n"
+    assert re.fullmatch(want, err), err
+    assert len(forced_split) == 3
 
 
 # --------------------------------------- every command on real-shaped files

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -19,8 +21,9 @@ from fairdep.data import (
     standardize_numeric,
     write_encoded_csv,
 )
+from fairdep.workers import FORKS
 
-from conftest import TOY_EXTENDED
+from conftest import TOY_EXTENDED, needs_fork, split_loads
 from oracles import rowwise_load_dataset
 
 
@@ -408,8 +411,12 @@ def _csv_case(draw):
 
 
 def _load_outcome(loader, text, schema):
+    return _outcome(loader, io.StringIO(text), schema)
+
+
+def _outcome(loader, source, schema):
     try:
-        return loader(io.StringIO(text), schema)
+        return loader(source, schema)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
 
@@ -491,6 +498,148 @@ def test_block_of_blank_records(monkeypatch, toy_schema):
     assert ds.y.tolist() == [1, -1, -1]
 
 
+# ------------------------------------------------ byte ranges, forked readers
+
+
+@needs_fork
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_csv_case(),
+    block=st.sampled_from([1, 2, 3, 5]),
+    cpus=st.integers(2, 4),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_split_loader_matches_rowwise_reference(tmp_path_factory, case, block, cpus, newline):
+    # a file with no quote character is read in byte ranges by forked readers
+    schema, text = case
+    text = text.replace("\n", newline)
+    want = _load_outcome(rowwise_load_dataset, text, schema)
+    path = tmp_path_factory.getbasetemp() / "split.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(data, "BLOCK_ROWS", block), split_loads(cpus):
+        got = _outcome(load_dataset, path, schema)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        _assert_same_dataset(got, want)
+
+
+def _split_and_whole(path, schema, cpus=4):
+    """The outcomes of loading `path` in byte ranges on `cpus` CPUs, and in one range."""
+    with split_loads(cpus) as forked:
+        split = _outcome(load_dataset, path, schema)
+    assert forked, "the file was read in one range"
+    return split, _outcome(load_dataset, path, schema)
+
+
+_ROWS = [b"male,2,30-60,yes\n", b"female,0,<30,no\n", b"female,1,>60,no\n"]
+_HEADER = b"gender,ncrimes,age,recid\n"
+_FAULTS = {  # a record, and the message it gives at row `row`, byte `at`
+    "short": (b"female,0\n", "row {row}: too few fields"),
+    "field": (b"x" * 300 + b",0,<30,no\n", "row {row}: malformed CSV record: field larger than"),
+    "byte": (b"f\xe9male,1,>60,no\n", "byte {at}: not valid UTF-8 (invalid continuation byte)"),
+}
+
+
+@pytest.fixture
+def field_limit_200():
+    old = csv.field_size_limit(200)  # forked readers inherit it
+    yield
+    csv.field_size_limit(old)
+
+
+@needs_fork
+@pytest.mark.parametrize("early", [None, "short", "field", "byte"])
+@pytest.mark.parametrize("late", ["short", "field", "byte"])
+def test_error_in_a_later_range_keeps_its_one_range_message(tmp_path, toy_schema, field_limit_200, early, late):
+    # 8,000 rows in four ranges, with a run of blank records in the second
+    # and third: `late` sits in the last range and `early`, when given, in
+    # the first, past the header's text chunk and more than a block and a
+    # chunk before `late`, so that the one-range load meets them in file
+    # order too
+    records = [_ROWS[i % 3] for i in range(8000)]
+    records[2300:2300] = [b"\n"] * 40
+    records[4300:4300] = [b"\r\n"] * 40
+    faults = {7000: late} if early is None else {1000: early, 7000: late}
+    for index, fault in faults.items():
+        records[index] = _FAULTS[fault][0]
+    first = min(faults)
+    at = len(_HEADER) + sum(map(len, records[:first])) + 1  # the e-acute's offset
+    want = _FAULTS[faults[first]][1].format(row=first + 2, at=at)
+    path = tmp_path / "faults.csv"
+    path.write_bytes(_HEADER + b"".join(records))
+    split, whole = _split_and_whole(path, toy_schema)
+    assert split == whole
+    assert split[0] is DataError and split[1].startswith(want), split
+
+
+@needs_fork
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_split_keeps_bom_line_ends_and_blank_records_on_a_range_edge(tmp_path, toy_schema, newline):
+    # the middle of the body, where the one cut of two ranges lands, is a
+    # run of blank records; a short row after it names its file-order row
+    rows = [_ROWS[i % 3].decode().rstrip() for i in range(60)]
+    lines = ["gender,ncrimes,age,recid"] + rows[:30] + [""] * 12 + rows[30:]
+    text = newline.join(lines) + newline
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    split, whole = _split_and_whole(path, toy_schema, cpus=2)
+    _assert_same_dataset(split, whole)
+    _assert_same_dataset(split, rowwise_load_dataset(io.StringIO(text), toy_schema))
+    assert split.n == 60 and split.schema.names[0] == "gender"
+    path.write_bytes(b"\xef\xbb\xbf" + (text + newline.join(["female,0"] * 2) + newline).encode())
+    split, whole = _split_and_whole(path, toy_schema, cpus=2)
+    assert split == whole == (DataError, "row 74: too few fields")
+
+
+@needs_fork
+def test_bad_cell_in_a_later_range_is_judged_by_its_own_row(tmp_path, toy_schema):
+    # the second half drops every row for its label, and so the bad count
+    # in each, which the first half's kept rows must not take for theirs
+    text = "gender,ncrimes,age,recid\n" + "male,2,30-60,yes\nfemale,0,<30,no\n" * 15
+    text += "male,many,30-60,?\n" * 30
+    path = tmp_path / "halves.csv"
+    path.write_text(text, encoding="utf-8")
+    split, whole = _split_and_whole(path, toy_schema, cpus=2)
+    _assert_same_dataset(split, whole)
+    _assert_same_dataset(split, rowwise_load_dataset(io.StringIO(text), toy_schema))
+    assert (split.n, split.dropped_rows) == (30, 30)
+
+
+@needs_fork
+def test_a_quote_anywhere_keeps_one_range(tmp_path, toy_schema, forced_split, monkeypatch):
+    def no_fork():
+        raise AssertionError("a range reader was forked for a quoted file")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = tmp_path / "quoted.csv"
+    body = b"".join(_ROWS * 40)
+    path.write_bytes(_HEADER + body + b'"male",3,<30,yes\n')
+    assert load_dataset(path, toy_schema).n == 121
+
+
+@needs_fork
+def test_split_leaves_no_process_behind(tmp_path, toy_schema, forced_split, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(_HEADER + b"".join(_ROWS * 40))
+    assert load_dataset(path, toy_schema).n == 120
+    path.write_bytes(_HEADER + b"".join(_ROWS * 40) + b"female\n")
+    with pytest.raises(DataError, match="^row 122: too few fields$"):
+        load_dataset(path, toy_schema)
+    parent, scan = os.getpid(), data._scan
+
+    def interrupted(*args):  # the parent is interrupted while it reads the first range
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return scan(*args)
+
+    monkeypatch.setattr(data, "_scan", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        load_dataset(path, toy_schema)
+    assert len(forced_split) == 9  # three readers per load, each reaped (see split_loads)
+
+
 def test_load_peak_memory_per_kept_cell(tmp_path):
     rng = np.random.default_rng(3)
     n = 20_000
@@ -514,15 +663,17 @@ def test_load_peak_memory_per_kept_cell(tmp_path):
     path = tmp_path / "wide.csv"
     lines = ["age,hours,job,sex,y"] + [",".join(row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tracemalloc.start()
-    try:
-        ds = load_dataset(path, schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept_cells = ds.n * (ds.m + 1)
-    assert ds.dropped_rows > 0
-    assert peak / kept_cells <= 32.0
+    for split in (contextlib.nullcontext(), split_loads(2) if FORKS else contextlib.nullcontext()):
+        with split:  # in byte ranges, the parent holds what its readers send
+            tracemalloc.start()
+            try:
+                ds = load_dataset(path, schema)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        kept_cells = ds.n * (ds.m + 1)
+        assert ds.dropped_rows > 0
+        assert peak / kept_cells <= 32.0
 
 
 def _second_load_peak(path, schema):
@@ -560,10 +711,12 @@ def test_numeric_markers_keep_the_clean_peak(tmp_path):
     )
     base, ds = _second_load_peak(clean, schema)
     assert ds.dropped_rows == 0
-    peak, ds = _second_load_peak(marked, schema)
-    assert 0 < ds.dropped_rows <= 2 * n // block and peak <= 1.25 * base
-    peak, ds = _second_load_peak(clean, replace(schema, missing_values=("", "?", "-1")))
-    assert ds.dropped_rows == 0 and peak <= 1.25 * base
+    for split in (contextlib.nullcontext(), split_loads(2) if FORKS else contextlib.nullcontext()):
+        with split:
+            peak, ds = _second_load_peak(marked, schema)
+            assert 0 < ds.dropped_rows <= 2 * n // block and peak <= 1.25 * base
+            peak, ds = _second_load_peak(clean, replace(schema, missing_values=("", "?", "-1")))
+            assert ds.dropped_rows == 0 and peak <= 1.25 * base
 
 
 # --------------------------------------------------------------- encode
