@@ -43,6 +43,8 @@ import math
 import os
 import pickle
 import signal
+import stat
+import traceback
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
@@ -359,18 +361,22 @@ class EncodedDataset:
 class _ByteRange(io.RawIOBase):
     """Bytes [start, end) of the file open as descriptor `fd`, read by position.
 
-    A forked reader shares the descriptor's offset with its parent, so no
+    `end` None reads to the end of the file, wherever it is when read. A
+    forked reader shares the descriptor's offset with its parent, so no
     reader moves it. `tell` is the absolute offset in the file.
     """
 
-    def __init__(self, fd: int, start: int, end: int):
+    def __init__(self, fd: int, start: int, end: int | None):
         self.fd, self.start, self.end, self.pos = fd, start, end, start
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        read = os.preadv(self.fd, [memoryview(buffer)[: self.end - self.pos]], self.pos)
+        view = memoryview(buffer)
+        if self.end is not None:
+            view = view[: self.end - self.pos]
+        read = os.preadv(self.fd, [view], self.pos)
         self.pos += read
         return read
 
@@ -386,37 +392,46 @@ def _text(raw, encoding: str):
 def _open_csv(csv_source):
     """The text stream of a CSV's first byte range, and the `_ByteRange`s after it.
 
-    A file object is read as it is, in one range.
+    A file object, and a path that does not split, are read as they are,
+    in one range.
     """
     if hasattr(csv_source, "read"):
         yield csv_source, []
         return
-    with open(csv_source, "rb", buffering=0) as raw:
-        ranges = [_ByteRange(raw.fileno(), *cut) for cut in _byte_ranges(raw.fileno())]
-        with _text(ranges[0], "utf-8-sig") as fh:
-            yield fh, ranges[1:]
+    with open(csv_source, "r", encoding="utf-8-sig", newline="") as fh:
+        if not (cuts := _byte_ranges(fh.fileno())):
+            yield fh, []
+            return
+        ranges = [_ByteRange(fh.fileno(), *cut) for cut in cuts]
+        with _text(ranges[0], "utf-8-sig") as first:
+            yield first, ranges[1:]
 
 
-def _byte_ranges(fd: int) -> list[tuple[int, int]]:
-    """The byte ranges a CSV file is read in: one, unless it splits.
+def _byte_ranges(fd: int) -> list[tuple[int, int | None]]:
+    """The byte ranges a CSV file splits into, or [] when it is read in one.
 
-    Where the fold workers fork, a file with no `"` splits into
+    Where the fold workers fork, a regular file with no `"` splits into
     min(usable CPUs, size // SPLIT_BYTES) ranges when that is two or more:
     the bytes after the first line are cut into about equal shares, each
     but the last ending just after a newline, and the first range starts
     with the first line. With no quote character, every newline ends a
-    record, so each range holds whole records.
+    record, so each range holds whole records. The last range runs to the
+    end of the file, so a file that grows is read as far as one range
+    would read it. A pipe or other stream never splits.
     """
-    size = os.fstat(fd).st_size
-    parts = min(usable_cpus(), size // SPLIT_BYTES) if FORKS else 1
+    if not FORKS:
+        return []
+    info = os.fstat(fd)
+    size = info.st_size
+    parts = min(usable_cpus(), size // SPLIT_BYTES) if stat.S_ISREG(info.st_mode) else 1
     if parts < 2 or _find(fd, b'"', 0) >= 0 or (head := _find(fd, b"\n", 0) + 1) == 0:
-        return [(0, size)]
+        return []
     cuts = [0]
     for k in range(1, parts):
         cut = _find(fd, b"\n", head + k * (size - head) // parts) + 1
         if cuts[-1] < cut < size:
             cuts.append(cut)
-    return list(zip(cuts, cuts[1:] + [size]))
+    return list(zip(cuts, cuts[1:] + [None])) if len(cuts) > 1 else []
 
 
 def _find(fd: int, byte: bytes, start: int) -> int:
@@ -440,8 +455,13 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     process, each other one by a forked process (`_fork_reader`) that
     pickles what it read down a pipe. Each range's records go through
     `_scan`, and the scans are merged in file order (`_Scan.extend`).
-    A file object, a small or quoted file, and every platform but Linux
-    take one range.
+    A file object, a small or quoted file, a pipe or other stream, and
+    every platform but Linux take one range, read through one plain
+    `open`. So on Linux this function may `os.fork`; the fork is safe in
+    the command, whose only other threads are OpenBLAS's (see
+    `_fork_reader`), but a caller whose process runs other threads that
+    may hold locks can raise `SPLIT_BYTES` above its files' sizes to keep
+    one range.
 
     `_scan` reads records in blocks of `BLOCK_ROWS` and transposes each
     by one `zip`. A block of a numeric or binned column is float64, by
@@ -668,7 +688,9 @@ def _fork_reader(readers: dict, byte_range: _ByteRange, layout) -> None:
 
     `readers` maps the child's pid to the pipe's read end. The child ends
     by `os._exit` whatever happens, so it never runs the parent's atexit
-    handlers or flushes the parent's buffered output. The fork is safe
+    handlers or flushes the parent's buffered output; an exception in it
+    is written as its traceback straight to file descriptor 2, and the
+    parent then reports the reader dead. The fork is safe
     for the reasons `cli._fold_map` gives for the fold workers: the
     command's only other threads are OpenBLAS's, which its own
     `pthread_atfork` handlers stop, and the child calls no BLAS routine.
@@ -687,6 +709,8 @@ def _fork_reader(readers: dict, byte_range: _ByteRange, layout) -> None:
             with open(write_end, "wb") as pipe:
                 pickle.dump(_read_range(byte_range, *layout), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
+        except Exception:  # a fault of the program: its traceback, as one range would show it
+            os.write(2, traceback.format_exc().encode(errors="replace"))
         finally:
             os._exit(status)
     os.close(write_end)
@@ -717,7 +741,7 @@ def _collect(readers: dict, pid: int, byte_range: _ByteRange) -> _Scan:
     status = os.waitpid(pid, 0)[1]
     if scan is None or status != 0:
         raise BrokenExecutor(
-            f"the reader of bytes {byte_range.start} to {byte_range.end} of the CSV "
+            f"the reader of the CSV from byte {byte_range.start} "
             f"ended without a result (wait status {status})"
         )
     return scan

@@ -4,7 +4,9 @@ import io
 import json
 import os
 import re
+import threading
 import tracemalloc
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -638,6 +640,71 @@ def test_split_leaves_no_process_behind(tmp_path, toy_schema, forced_split, monk
     with pytest.raises(KeyboardInterrupt):
         load_dataset(path, toy_schema)
     assert len(forced_split) == 9  # three readers per load, each reaped (see split_loads)
+
+
+def test_one_range_reads_no_file_by_position(tmp_path, toy_schema, monkeypatch):
+    """Where readers do not fork, a path loads through a plain `open`:
+    Windows has neither `os.preadv` nor `os.pread`."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(_HEADER + b"".join(_ROWS * 40))
+    want = load_dataset(io.StringIO(path.read_text()), toy_schema)
+    monkeypatch.setattr(data, "FORKS", False)
+    monkeypatch.setattr(data, "SPLIT_BYTES", 1)
+    monkeypatch.delattr(os, "preadv", raising=False)
+    monkeypatch.delattr(os, "pread", raising=False)
+    _assert_same_dataset(load_dataset(path, toy_schema), want)
+
+
+@needs_fork
+def test_a_pipe_is_read_in_one_range(tmp_path, toy_schema, forced_split):
+    """A FIFO has no size and no positions: it streams through one range."""
+    text = _HEADER + b"".join(_ROWS * 40)
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(text,))
+    writer.start()
+    try:
+        got = load_dataset(fifo, toy_schema)
+    finally:
+        writer.join()
+    _assert_same_dataset(got, load_dataset(io.StringIO(text.decode()), toy_schema))
+    assert not forced_split
+
+
+@needs_fork
+def test_last_range_reads_to_the_end_of_a_growing_file(tmp_path, toy_schema, forced_split, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(_HEADER + b"".join(_ROWS * 40))
+    byte_ranges = data._byte_ranges
+
+    def growing(fd):  # rows are appended after the file is cut
+        cuts = byte_ranges(fd)
+        with open(path, "ab") as fh:
+            fh.write(b"".join(_ROWS * 2))
+        return cuts
+
+    monkeypatch.setattr(data, "_byte_ranges", growing)
+    assert load_dataset(path, toy_schema).n == 126
+    assert len(forced_split) == 3
+
+
+@needs_fork
+def test_fault_in_a_reader_shows_its_traceback(tmp_path, toy_schema, forced_split, monkeypatch, capfd):
+    parent, read_range = os.getpid(), data._read_range
+
+    def faulty(*args):
+        if os.getpid() != parent:
+            raise TypeError("a fault in the reader")
+        return read_range(*args)
+
+    monkeypatch.setattr(data, "_read_range", faulty)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(_HEADER + b"".join(_ROWS * 40))
+    with pytest.raises(BrokenExecutor, match=r"^the reader of the CSV from byte \d+ ended without a result \(wait status 256\)$"):
+        load_dataset(path, toy_schema)
+    err = capfd.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "TypeError: a fault in the reader\n" in err
 
 
 def test_load_peak_memory_per_kept_cell(tmp_path):
