@@ -27,7 +27,7 @@ for name in ("compas", "lsac", "taiwan_credit", "adult"):
     schema = Schema.from_json(SCHEMA_DIR / f"{name}.json")
     dataset = load_dataset(csv_path, schema)
     print(f"=== {name}: n={dataset.n} (dropped {dataset.dropped_rows} rows with missing cells)")
-    _, _, report = audit_dataset(dataset, max_n=2000, seed=42)
+    _, report = audit_dataset(dataset, max_n=2000, seed=42)
     print(report.table())
     print(f"sensitive features: {report.sensitive_features}")
     print(f"harmed groups:      {report.sensitive_groups}\n")

@@ -4,17 +4,16 @@ Every run writes its full effective configuration (defaults and seeds
 included) into its JSON output, so reruns are bit-reproducible. Exit
 codes separate failure families: 2 for configuration problems
 (SchemaError), 3 for data problems (DataError), 4 for numerical
-failures (NumericsError), 5 for a worker process that died (one of
-validate's fold workers, or a reader of part of a large CSV).
-Any other exception is a bug and ends with a traceback (exit 1).
+failures (NumericsError), 5 for a worker process that ended without a
+result (one of validate's fold workers, or a reader of part of a large
+CSV; both are forked children, see `fairdep.workers`). An exception
+raised in a worker counts as if raised in this process. Any other
+exception is a bug and ends with a traceback (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
-import contextlib
-import functools
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -30,7 +29,6 @@ from .kernels import KERNEL_KINDS, KernelSpec
 from .synth import PlantedFeature, SynthSpec, generate
 from .validation import validate as run_validation
 from .validation import write_scatter_csv
-from .workers import FORKS, usable_cpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +121,7 @@ def _load(args):
     if not schema_path.is_file():
         raise SchemaError(f"schema file not found: {schema_path}")
     data_path = Path(args.data)
-    if not data_path.is_file():
+    if not data_path.exists() or data_path.is_dir():  # a pipe, such as <(cmd), streams
         raise SchemaError(f"data file not found: {data_path}")
     return load_dataset(data_path, Schema.from_json(schema_path))
 
@@ -172,87 +170,19 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-FOLD_START_METHOD = "fork" if FORKS else "spawn"
-
-
-@contextlib.contextmanager
-def _fold_map(folds: int):
-    """An order-keeping map that runs validation folds in parallel.
-
-    min(folds, usable CPUs) workers, started by `FOLD_START_METHOD`. With
-    one worker this is the builtin `map` and no process starts. A fold
-    that raises drops the folds not yet started.
-
-    On Linux the workers are forked, so each has numpy and the forest
-    loaded already and starts its first fold at once; a 2-vCPU run holds
-    three processes and starts no resource tracker. The fork is safe:
-    - with a fork context, `ProcessPoolExecutor` forks every worker at
-      the first submit, before it starts its manager thread (CPython
-      gh-90622);
-    - the command's only other OS threads are the OpenBLAS pools of
-      numpy and of scipy (whose LAPACK module `fairdep.dependence`
-      loads), which OpenBLAS's own `pthread_atfork` handlers stop before
-      the fork and restart on the next BLAS call;
-    - a worker runs only `forest.fit_predict`, which calls no BLAS or
-      LAPACK routine.
-    Python 3.12 and later count the BLAS threads and emit a
-    DeprecationWarning ("This process ... is multi-threaded, use of
-    fork() may lead to deadlocks in the child"), which the default
-    warning filters hide.
-
-    Elsewhere the workers are spawned: each imports numpy and the forest
-    to unpickle `fit_predict`, plus the caller's main module again, which
-    the `fairdep` script and `python -m fairdep` keep small. The pool
-    lives here and not in the library, because a script that called the
-    library without an `if __name__ == "__main__":` guard would start it
-    again in every spawned worker.
-    """
-    workers = min(folds, usable_cpus())
-    if workers <= 1:
-        yield map
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context(FOLD_START_METHOD)
-    pool = ProcessPoolExecutor(workers, mp_context=context)
-    try:
-        yield functools.partial(_windowed_map, pool, workers + 1)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _windowed_map(pool, window: int, fn, *iterables):
-    """`pool.map`, submitting at most `window` calls ahead of the one it yields.
-
-    `ProcessPoolExecutor.map` submits every call before it yields the
-    first result, so it would hold every fold's training rows at once;
-    here the next fold's rows are taken only when a result is read.
-    """
-    pending = collections.deque()
-    for args in zip(*iterables):
-        pending.append(pool.submit(fn, *args))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def cmd_validate(args) -> int:
     forest = ForestConfig(n_trees=args.trees, seed=args.seed)
     out = _outdir(args)
     encoded, report = _run_audit_pipeline(args)
     report.to_json(out / "report.json")
-    with _fold_map(args.folds) as fold_map:
-        vreport = run_validation(
-            encoded,
-            report,
-            folds=args.folds,
-            forest=forest,
-            seed=args.seed,
-            exclude_sensitive=args.exclude_sensitive_from_training,
-            fold_map=fold_map,
-        )
+    vreport = run_validation(
+        encoded,
+        report,
+        folds=args.folds,
+        forest=forest,
+        seed=args.seed,
+        exclude_sensitive=args.exclude_sensitive_from_training,
+    )
     vreport.to_json(out / "validation.json")
     write_scatter_csv(vreport, args.kernel, out / "scatter.csv")
     acc = float(np.mean(vreport.fold_accuracy))
@@ -317,7 +247,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error (numerics): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except BrokenExecutor as exc:  # a fold worker or a CSV range reader died
+    except BrokenExecutor as exc:  # a fold worker or a CSV range reader ended without a result
         print(f"error (workers): {exc}", file=sys.stderr)
         return EXIT_WORKER
 

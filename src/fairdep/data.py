@@ -16,9 +16,9 @@ half-open on the right, so bins=[25, 60] buckets values as x < 25,
 25 <= x < 60, x >= 60.
 
 `load_dataset` reads a CSV path with no quote character in byte ranges
-of at least `SPLIT_BYTES`, at most one per usable CPU, where validate's
-fold workers fork (Linux): this process reads the first range and a
-forked process each other one, and their reads merge in file order. Each
+of at least `SPLIT_BYTES`, at most one per usable CPU, where the package
+forks (Linux, see `fairdep.workers`): this process reads the first range
+and a forked child each other one, and their reads merge in file order. Each
 range is read in blocks of `BLOCK_ROWS` records, each block transposed
 with one `zip`. A numeric or binned column is float64 in every block,
 by one conversion of the raw cells where it can, and otherwise by one
@@ -41,11 +41,7 @@ import io
 import json
 import math
 import os
-import pickle
-import signal
 import stat
-import traceback
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
@@ -54,7 +50,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError, signs
 from .kernels import scaled_down
-from .workers import FORKS, usable_cpus
+from .workers import FORKS, forked, usable_cpus
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -410,7 +406,7 @@ def _open_csv(csv_source):
 def _byte_ranges(fd: int) -> list[tuple[int, int | None]]:
     """The byte ranges a CSV file splits into, or [] when it is read in one.
 
-    Where the fold workers fork, a regular file with no `"` splits into
+    Where the package forks, a regular file with no `"` splits into
     min(usable CPUs, size // SPLIT_BYTES) ranges when that is two or more:
     the bytes after the first line are cut into about equal shares, each
     but the last ending just after a newline, and the first range starts
@@ -452,16 +448,15 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     stripped before interpretation.
 
     A path is read in byte ranges (see `_byte_ranges`): the first by this
-    process, each other one by a forked process (`_fork_reader`) that
-    pickles what it read down a pipe. Each range's records go through
-    `_scan`, and the scans are merged in file order (`_Scan.extend`).
-    A file object, a small or quoted file, a pipe or other stream, and
-    every platform but Linux take one range, read through one plain
-    `open`. So on Linux this function may `os.fork`; the fork is safe in
-    the command, whose only other threads are OpenBLAS's (see
-    `_fork_reader`), but a caller whose process runs other threads that
-    may hold locks can raise `SPLIT_BYTES` above its files' sizes to keep
-    one range.
+    process, each other one by a child forked by `workers.forked` that
+    runs `_read_range` and pickles what it read down a pipe. Each range's
+    records go through `_scan`, and the scans are merged in file order
+    (`_Scan.extend`). A file object, a small or quoted file, a pipe or
+    other stream, and every platform but Linux take one range, read
+    through one plain `open`. So on Linux this function may `os.fork`; the
+    fork is safe in the commands (see `fairdep.workers`), but a caller
+    whose process runs other threads that may hold locks can raise
+    `SPLIT_BYTES` above its files' sizes to keep one range.
 
     `_scan` reads records in blocks of `BLOCK_ROWS` and transposes each
     by one `zip`. A block of a numeric or binned column is float64, by
@@ -489,9 +484,10 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     Paths are read as UTF-8 with an optional byte-order mark; a byte that
     does not decode raises DataError naming its offset in the file. Of
     the errors of step 2 and the undecodable bytes, the one in the
-    earliest byte range counts. A forked reader that ends without a
-    result raises `concurrent.futures.BrokenExecutor`; every reader is
-    reaped before this returns or raises.
+    earliest byte range counts. A fault of the program in a reader is
+    raised here with its own type, as one range would raise it; a reader
+    that ends without a result raises `concurrent.futures.BrokenExecutor`.
+    Every reader is reaped before this returns or raises.
     """
     needed = list(schema.names) + [schema.label]
     # each marker, and its float value (None when float() rejects it)
@@ -550,8 +546,8 @@ def _read_csv(fh, ranges: list[_ByteRange], needed: list[str], floats, missing) 
     """Check the header, then scan `fh` and every later byte range, merged in file order.
 
     The readers of the later ranges are forked once the header has
-    passed its checks, and each is killed if still running and reaped
-    before this returns or raises, a KeyboardInterrupt included.
+    passed its checks; `workers.forked` reaps each before this returns or
+    raises, a KeyboardInterrupt included.
     """
     bad: list[csv.Error] = []
     records = _records(fh, bad)
@@ -570,20 +566,13 @@ def _read_csv(fh, ranges: list[_ByteRange], needed: list[str], floats, missing) 
         if header.count(name) > 1:
             raise DataError(f"duplicate column: {name!r} repeats in CSV header")
     layout = ([header.index(name) for name in needed], floats, missing)
-    readers: dict[int, io.BufferedReader] = {}  # pid -> the read end of its pipe, until reaped
-    try:
-        for byte_range in ranges:
-            _fork_reader(readers, byte_range, layout)
+    readers = [(f"the reader of the CSV from byte {r.start}", (r, *layout)) for r in ranges]
+    with forked(_read_range, readers) as later_scans:
         scan = _scan(fh, records, bad, *layout)
-        for byte_range, pid in zip(ranges, list(readers)):
+        for _ in ranges:  # no reader after an error is waited for
             if scan.error is not None:
                 break
-            scan.extend(_collect(readers, pid, byte_range), floats)
-    finally:
-        for pid, pipe in readers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            scan.extend(next(later_scans), floats)
     if scan.error is not None:
         row, text = scan.error
         raise DataError(text if row is None else f"row {row}: {text}")
@@ -683,40 +672,6 @@ def _undecodable(fh, exc: UnicodeDecodeError) -> str:
     return f"byte {offset}: not valid UTF-8 ({exc.reason})"
 
 
-def _fork_reader(readers: dict, byte_range: _ByteRange, layout) -> None:
-    """Fork a process that scans `byte_range` and pickles its `_Scan` down a pipe.
-
-    `readers` maps the child's pid to the pipe's read end. The child ends
-    by `os._exit` whatever happens, so it never runs the parent's atexit
-    handlers or flushes the parent's buffered output; an exception in it
-    is written as its traceback straight to file descriptor 2, and the
-    parent then reports the reader dead. The fork is safe
-    for the reasons `cli._fold_map` gives for the fold workers: the
-    command's only other threads are OpenBLAS's, which its own
-    `pthread_atfork` handlers stop, and the child calls no BLAS routine.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(_read_range(byte_range, *layout), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        except Exception:  # a fault of the program: its traceback, as one range would show it
-            os.write(2, traceback.format_exc().encode(errors="replace"))
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    readers[pid] = open(read_end, "rb")
-
-
 def _read_range(byte_range: _ByteRange, positions, floats, missing) -> _Scan:
     """Scan a byte range after the first: what a forked reader runs.
 
@@ -728,22 +683,6 @@ def _read_range(byte_range: _ByteRange, positions, floats, missing) -> _Scan:
     bad: list[csv.Error] = []
     scan = _scan(fh, _records(fh, bad), bad, positions, floats, missing)
     scan.parts = [[np.concatenate(blocks)] if blocks else [] for blocks in scan.parts]
-    return scan
-
-
-def _collect(readers: dict, pid: int, byte_range: _ByteRange) -> _Scan:
-    """The forked reader's scan of `byte_range`, once the reader has been reaped."""
-    try:
-        scan = pickle.load(readers[pid])
-    except (EOFError, pickle.UnpicklingError):  # it ended before it wrote the whole scan
-        scan = None
-    readers.pop(pid).close()
-    status = os.waitpid(pid, 0)[1]
-    if scan is None or status != 0:
-        raise BrokenExecutor(
-            f"the reader of the CSV from byte {byte_range.start} "
-            f"ended without a result (wait status {status})"
-        )
     return scan
 
 

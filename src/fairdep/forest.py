@@ -248,8 +248,7 @@ class RandomForest:
 def fit_predict(X, y, X_test, config: ForestConfig) -> np.ndarray:
     """One cross-validation fold: fit a forest on (X, y), predict X_test.
 
-    A pure function of its arguments, defined at module level so that a
-    process pool can pickle it by name. Unpickling it in a worker
-    imports numpy and this module, not scipy.
+    A pure function of its arguments, so a fold gives the same
+    predictions in whichever process it runs.
     """
     return RandomForest(config).fit(X, y).predict(X_test)

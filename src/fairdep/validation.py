@@ -30,6 +30,7 @@ from .fairness import (
 )
 from .forest import ForestConfig, fit_predict
 from .kernels import LINEAR, RBF, KernelSpec
+from .workers import FORKS, forked, usable_cpus
 
 
 def stratified_folds(y, folds: int, seed: int = 0) -> list[np.ndarray]:
@@ -79,33 +80,39 @@ def cross_validate(
     folds: int = 10,
     forest: ForestConfig = ForestConfig(),
     seed: int = 0,
-    fold_map=map,
 ) -> CrossValResult:
     """Stratified k-fold fit/predict; deterministic under (seed, forest).
 
     Each fold is one `forest.fit_predict(train X, train y, test X,
-    config)` call, a pure function of the fold's rows and its seed, and
-    the folds are handed to `fold_map(fit_predict, *argument iterables)`.
-    The builtin `map` (the default) runs them one after another in this
-    process. A process pool's order-keeping `map` (such as
-    `ProcessPoolExecutor.map`) runs them in parallel with the same
-    result, bit for bit, whether its workers are forked or spawned. A
-    script that passes a spawn pool's map needs an
-    `if __name__ == "__main__":` guard, because spawned workers import
-    the script's main module again; `fairdep validate` forks its workers
-    on Linux and spawns them elsewhere (`cli._fold_map`).
+    config)` call, a pure function of the fold's rows and its seed, so
+    the result is the same, bit for bit, wherever the folds run. Where
+    the package forks (Linux, see `fairdep.workers`) and more than one CPU
+    is usable, the folds are cut into min(folds, usable CPUs) contiguous
+    runs, and a forked child runs each run's folds on rows of the matrix
+    it inherited, so this process runs no fold and copies no training
+    rows; a fold's exception is raised here, and ends its child's run.
+    Otherwise the folds run in this process, one after another. So on
+    Linux this function may `os.fork`; a caller whose process runs other
+    threads that may hold locks should keep to one usable CPU
+    (`os.sched_setaffinity`).
     """
     X = np.asarray(matrix, dtype=np.float64)
     y = np.asarray(y).ravel()
     test_sets = stratified_folds(y, folds, seed)
-    train_sets = [np.setdiff1d(np.arange(y.size), test_idx) for test_idx in test_sets]
-    predicted = fold_map(
-        fit_predict,
-        (X[idx] for idx in train_sets),
-        (y[idx] for idx in train_sets),
-        (X[idx] for idx in test_sets),
-        (replace(forest, seed=_fold_seed(forest.seed, fold)) for fold in range(folds)),
-    )
+
+    def fold(k: int) -> np.ndarray:
+        train_idx = np.setdiff1d(np.arange(y.size), test_sets[k])
+        config = replace(forest, seed=_fold_seed(forest.seed, k))
+        return fit_predict(X[train_idx], y[train_idx], X[test_sets[k]], config)
+
+    workers = min(folds, usable_cpus()) if FORKS else 1
+    if workers <= 1:
+        predicted = map(fold, range(folds))
+    else:
+        runs = [run.tolist() for run in np.array_split(np.arange(folds), workers)]
+        calls = [(f"the worker of folds {run[0] + 1}-{run[-1] + 1}", (run,)) for run in runs]
+        with forked(lambda run: list(map(fold, run)), calls) as results:
+            predicted = [pred for result in results for pred in result]
     predictions = np.zeros(y.size, dtype=np.int64)
     accuracy = []
     for test_idx, pred in zip(test_sets, predicted):
@@ -218,7 +225,6 @@ def validate(
     forest: ForestConfig = ForestConfig(),
     seed: int = 0,
     exclude_sensitive: bool = False,
-    fold_map=map,
 ) -> ValidationReport:
     """Fairness-vs-dependence pairing for every indicator subfeature.
 
@@ -234,10 +240,9 @@ def validate(
     resamples, floor(sqrt(m)) features per split, trees grown to
     purity); only `forest.n_trees` and `forest.seed` vary. The config's
     "forest" record states that protocol as `max_depth` null,
-    `max_features` "sqrt" and `bootstrap` true.
-
-    The folds run in this process unless `fold_map` says otherwise; it
-    is passed to `cross_validate`, whose docstring states the contract.
+    `max_features` "sqrt" and `bootstrap` true. The folds run where
+    `cross_validate` runs them: on forked children where the package
+    forks (see `fairdep.workers`).
     """
     # the report's scores, flattened, are in encoded-column order
     names = [sub.name for sub in encoded.subfeatures]
@@ -259,7 +264,7 @@ def validate(
             raise DataError("excluding sensitive features leaves no training columns")
         train_matrix = encoded.matrix[:, keep]
 
-    cv = cross_validate(train_matrix, y, folds=folds, forest=forest, seed=seed, fold_map=fold_map)
+    cv = cross_validate(train_matrix, y, folds=folds, forest=forest, seed=seed)
 
     records = []
     for c in indicator_columns(encoded):

@@ -13,16 +13,13 @@ from fairdep import Column, Dataset, Schema, data
 from fairdep.data import dataset_from_arrays
 from fairdep.workers import FORKS
 
-needs_fork = pytest.mark.skipif(not FORKS, reason="the loader forks range readers only on Linux")
+needs_fork = pytest.mark.skipif(not FORKS, reason="the package forks workers only on Linux")
 
 
 @contextlib.contextmanager
-def split_loads(cpus=4):
-    """Read every CSV path with a newline and no quote in byte ranges, on `cpus` CPUs.
-
-    Yields the pids of the processes forked, each of which must have been
-    reaped when the block ends.
-    """
+def recording_forks():
+    """Yields the pids of the processes forked in the block, each of
+    which must have been reaped when the block ends."""
     forked = []
     fork = os.fork
 
@@ -32,20 +29,30 @@ def split_loads(cpus=4):
             forked.append(pid)
         return pid
 
-    with mock.patch.object(data, "SPLIT_BYTES", 1), mock.patch.object(
-        os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True
-    ), mock.patch.object(os, "fork", recording_fork):
+    with mock.patch.object(os, "fork", recording_fork):
         yield forked
     for pid in forked:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def split_loads(cpus=4):
+    """Read every CSV path with a newline and no quote in byte ranges, on `cpus` CPUs.
+
+    Yields the pids of the processes forked, as `recording_forks` does.
+    """
+    with mock.patch.object(data, "SPLIT_BYTES", 1), mock.patch.object(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True
+    ), recording_forks() as forked:
+        yield forked
+
+
 @pytest.fixture
 def forced_split():
     """`split_loads` on four CPUs around the whole test."""
     if not FORKS:
-        pytest.skip("the loader forks range readers only on Linux")
+        pytest.skip("the package forks workers only on Linux")
     with split_loads() as forked:
         yield forked
 

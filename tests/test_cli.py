@@ -1,12 +1,15 @@
-import concurrent.futures
 import contextlib
 import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from fairdep import DataError, ForestConfig, NumericsError, RandomForest, Schema
 from fairdep import cli as cli_module
 from fairdep import data as data_module
 from fairdep import validation as validation_module
+from fairdep import workers as workers_module
 from fairdep.dependence import DependenceConfig, regularized_operator
 from fairdep.detector import FeatureScore, detect, score_features, subsample
 from fairdep.kernels import KernelSpec
@@ -32,7 +36,7 @@ from fairdep.cli import (
 from fairdep.validation import stratified_folds, validate, write_scatter_csv
 from fairdep.workers import FORKS
 
-from conftest import needs_fork, split_loads
+from conftest import needs_fork, recording_forks, split_loads
 
 REPO = Path(__file__).resolve().parents[1]
 _SCORES = [FeatureScore("a", "binary", True, ("a_1",), (0.5,), 0.5, 0)]
@@ -550,6 +554,27 @@ def test_directory_path_is_config_error(tmp_path, synth_files, capsys):
         assert "file not found" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_audit_reads_data_through_a_pipe(tmp_path, synth_files):
+    # as `--data <(cat synth.csv)` hands it a /dev/fd path
+    data, schema_path = synth_files
+    fifo = tmp_path / "synth.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data.read_bytes(),))
+    writer.start()
+    try:
+        code = main(["audit", "--data", str(fifo), "--schema", str(schema_path), "--out", str(tmp_path / "pipe")])
+    finally:
+        writer.join()
+    assert code == EXIT_OK
+    assert main(["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "file")]) == EXIT_OK
+    piped = json.loads((tmp_path / "pipe" / "report.json").read_text(encoding="utf-8"))
+    filed = json.loads((tmp_path / "file" / "report.json").read_text(encoding="utf-8"))
+    assert piped["config"].pop("data") == str(fifo)
+    filed["config"].pop("data")
+    assert piped == filed
+
+
 def test_malformed_csv_record_is_data_error(tmp_path, toy_files, capsys):
     # a quoted field over csv.field_size_limit() (131,072 characters)
     _, schema_path = toy_files
@@ -578,15 +603,15 @@ def test_undecodable_csv_byte_is_data_error(tmp_path, toy_files, capsys):
         assert f"byte {len(head) + 1}: not valid UTF-8" in capsys.readouterr().err
 
 
-# ------------------------------------- validate's folds on worker processes
+# -------------------------------------- validate's folds on forked workers
 
 VALIDATION_OUTPUTS = ("validation.json", "scatter.csv")
 
 
-def _validate_argv(synth_files, out, exclude=False):
+def _validate_argv(synth_files, out, exclude=False, folds=3):
     data, schema_path = synth_files
     argv = ["validate", "--data", str(data), "--schema", str(schema_path)]
-    argv += ["--folds", "3", "--trees", "5", "--seed", "3", "--out", str(out)]
+    argv += ["--folds", str(folds), "--trees", "5", "--seed", "3", "--out", str(out)]
     return argv + (["--exclude-sensitive-from-training"] if exclude else [])
 
 
@@ -595,75 +620,72 @@ def _outputs(out):
 
 
 def _in_process_outputs(argv):
-    """What `validate` writes when the library runs every fold in this process."""
+    """What `validate` writes when every fold runs in this process."""
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir()
     encoded, report = _run_audit_pipeline(args)
-    vreport = validate(
-        encoded,
-        report,
-        folds=args.folds,
-        forest=ForestConfig(n_trees=args.trees, seed=args.seed),
-        seed=args.seed,
-        exclude_sensitive=args.exclude_sensitive_from_training,
-        fold_map=map,
-    )
+    with mock.patch.object(validation_module, "FORKS", False):
+        vreport = validate(
+            encoded,
+            report,
+            folds=args.folds,
+            forest=ForestConfig(n_trees=args.trees, seed=args.seed),
+            seed=args.seed,
+            exclude_sensitive=args.exclude_sensitive_from_training,
+        )
     vreport.to_json(out / "validation.json")
     write_scatter_csv(vreport, args.kernel, out / "scatter.csv")
     return _outputs(out)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """(workers, start method) of each process pool started, with two usable CPUs."""
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append((max_workers, kwargs["mp_context"].get_start_method()))
-            super().__init__(max_workers, **kwargs)
-
+def two_cpu_forks(monkeypatch):
+    """The pids forked in the test, with two usable CPUs; each must be reaped by its end."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
+    with recording_forks() as forked:
+        yield forked
 
 
 @pytest.mark.parametrize("exclude", [False, True], ids=["all-columns", "exclude-sensitive"])
-def test_validate_worker_pool_matches_in_process_folds(tmp_path, synth_files, pools, exclude):
+def test_validate_worker_pool_matches_in_process_folds(tmp_path, synth_files, two_cpu_forks, exclude):
+    # min(3 folds, 2 CPUs) forked workers, where the package forks
     assert main(_validate_argv(synth_files, tmp_path / "cli", exclude)) == EXIT_OK
-    assert pools == [(2, "fork" if sys.platform.startswith("linux") else "spawn")]
+    assert len(two_cpu_forks) == (2 if FORKS else 0)
     expected = _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref", exclude))
     assert _outputs(tmp_path / "cli") == expected
 
 
-def test_validate_spawned_workers_match_in_process_folds(tmp_path, synth_files, pools, monkeypatch):
-    # the start method of every platform but Linux, tested where CI runs
-    monkeypatch.setattr(cli_module, "FOLD_START_METHOD", "spawn")
-    assert main(_validate_argv(synth_files, tmp_path / "cli")) == EXIT_OK
-    assert pools == [(2, "spawn")]
+@needs_fork
+def test_validate_forks_one_worker_per_fold_when_cpus_outnumber_folds(tmp_path, synth_files, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    with recording_forks() as forked:
+        assert main(_validate_argv(synth_files, tmp_path / "cli")) == EXIT_OK
+    assert len(forked) == 3
     assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
 
 
-@pytest.mark.parametrize("cpu_source", ["affinity", "cpu_count"])
+@pytest.mark.parametrize("cpu_source", ["affinity", "cpu_count", "no-fork"])
 def test_validate_on_one_cpu_starts_no_process(tmp_path, synth_files, monkeypatch, cpu_source):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started for one usable CPU")
+    def no_fork():
+        raise AssertionError("a fold worker was forked")
 
     if cpu_source == "affinity":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    else:  # a platform without CPU affinity
+    elif cpu_source == "cpu_count":  # a platform without CPU affinity
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    else:  # two CPUs on a platform that does not fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(validation_module, "FORKS", False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert main(_validate_argv(synth_files, tmp_path / "cli")) == EXIT_OK
     assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
 
 
 @pytest.mark.parametrize("module", ["fairdep", "fairdep.cli"])
 def test_validate_as_main_module_in_a_subprocess(tmp_path, synth_files, module):
-    # the workers start from a command run as a main module: forked on
-    # Linux, and elsewhere spawned, when each imports that module again
+    # the command forks its workers from a main module, which no worker imports again
     argv = _validate_argv(synth_files, tmp_path / "cli")
     done = subprocess.run(
         [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=300
@@ -672,9 +694,22 @@ def test_validate_as_main_module_in_a_subprocess(tmp_path, synth_files, module):
     assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
 
 
+def test_validate_imports_no_process_pool(tmp_path, synth_files):
+    argv = _validate_argv(synth_files, tmp_path / "cli")
+    code = (
+        "import os, sys, fairdep.cli; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        f"code = fairdep.cli.main({argv!r}); "
+        "print(code, *(m in sys.modules for m in ('multiprocessing', 'concurrent.futures.process')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == [str(EXIT_OK), "False", "False"]
+
+
 def _failing_fold(X, y, X_test, config):
     with open(os.environ["FAIRDEP_TEST_FOLD_LOG"], "a") as log:
-        log.write("started\n")
+        log.write(f"{os.getpid()}\n")
     raise NumericsError("fold failed in a worker")
 
 
@@ -682,30 +717,56 @@ def _dying_fold(X, y, X_test, config):
     os._exit(1)
 
 
-def _ten_fold_argv_on_two_workers(synth_files, out, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    argv = _validate_argv(synth_files, out)
-    argv[argv.index("--folds") + 1] = "10"
-    return argv
+def _slow_fold(X, y, X_test, config):
+    time.sleep(60)
 
 
-def test_failed_fold_in_a_worker_drops_the_folds_not_started(tmp_path, synth_files, monkeypatch, capsys):
-    # two workers hold at most three folds submitted, so at most three start
+def test_failed_fold_in_a_worker_drops_the_folds_not_started(tmp_path, synth_files, two_cpu_forks, monkeypatch, capsys):
+    # each of the two workers stops at its first fold, which fails
     log = tmp_path / "folds.log"
     monkeypatch.setenv("FAIRDEP_TEST_FOLD_LOG", str(log))
     monkeypatch.setattr(validation_module, "fit_predict", _failing_fold)
-    argv = _ten_fold_argv_on_two_workers(synth_files, tmp_path / "cli", monkeypatch)
-    assert main(argv) == EXIT_NUMERIC
+    assert main(_validate_argv(synth_files, tmp_path / "cli", folds=10)) == EXIT_NUMERIC
     assert "error (numerics): fold failed in a worker" in capsys.readouterr().err
-    assert 1 <= len(log.read_text().splitlines()) <= 3
+    started = log.read_text().splitlines()
+    assert 1 <= len(started) <= (2 if FORKS else 1)
+    assert len(set(started)) == len(started)
+    assert len(two_cpu_forks) == (2 if FORKS else 0)
 
 
-def test_dead_worker_is_reported_with_its_own_exit_code(tmp_path, synth_files, monkeypatch, capsys):
+@needs_fork
+def test_dead_worker_is_reported_with_its_own_exit_code(tmp_path, synth_files, two_cpu_forks, monkeypatch, capsys):
     monkeypatch.setattr(validation_module, "fit_predict", _dying_fold)
-    argv = _ten_fold_argv_on_two_workers(synth_files, tmp_path / "cli", monkeypatch)
-    assert main(argv) == EXIT_WORKER
+    assert main(_validate_argv(synth_files, tmp_path / "cli", folds=10)) == EXIT_WORKER
     err = capsys.readouterr().err
-    assert err.startswith("error (workers): ") and "Traceback" not in err
+    assert re.fullmatch(r"error \(workers\): the worker of folds 1-5 ended without a result \(wait status 256\)\n", err), err
+    assert len(two_cpu_forks) == 2
+
+
+@needs_fork
+def test_interrupted_validate_leaves_no_worker(tmp_path, synth_files, two_cpu_forks, monkeypatch):
+    # SIGALRM stands in for the SIGINT of a Ctrl-C, once the parent waits on its workers
+    monkeypatch.setattr(validation_module, "fit_predict", _slow_fold)
+    result = workers_module._result
+
+    def interrupt_soon(*args):
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        return result(*args)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(workers_module, "_result", interrupt_soon)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    started = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(_validate_argv(synth_files, tmp_path / "cli", folds=10))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 30
+    assert len(two_cpu_forks) == 2
 
 
 @needs_fork

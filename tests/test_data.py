@@ -6,7 +6,6 @@ import os
 import re
 import threading
 import tracemalloc
-from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -689,7 +688,8 @@ def test_last_range_reads_to_the_end_of_a_growing_file(tmp_path, toy_schema, for
 
 
 @needs_fork
-def test_fault_in_a_reader_shows_its_traceback(tmp_path, toy_schema, forced_split, monkeypatch, capfd):
+def test_fault_in_a_reader_shows_its_traceback(tmp_path, toy_schema, forced_split, monkeypatch):
+    # the reader's own exception, as one range would raise it, caused by the child's traceback
     parent, read_range = os.getpid(), data._read_range
 
     def faulty(*args):
@@ -700,11 +700,30 @@ def test_fault_in_a_reader_shows_its_traceback(tmp_path, toy_schema, forced_spli
     monkeypatch.setattr(data, "_read_range", faulty)
     path = tmp_path / "rows.csv"
     path.write_bytes(_HEADER + b"".join(_ROWS * 40))
-    with pytest.raises(BrokenExecutor, match=r"^the reader of the CSV from byte \d+ ended without a result \(wait status 256\)$"):
+    with pytest.raises(TypeError, match="^a fault in the reader$") as caught:
         load_dataset(path, toy_schema)
-    err = capfd.readouterr().err
-    assert err.startswith("Traceback (most recent call last):\n")
-    assert "TypeError: a fault in the reader\n" in err
+    child = str(caught.value.__cause__)
+    assert "Traceback (most recent call last):\n" in child
+    assert ", in faulty\n" in child and "TypeError: a fault in the reader\n" in child
+    assert len(forced_split) == 3
+
+
+@needs_fork
+def test_error_in_the_first_range_outranks_a_dead_reader(tmp_path, toy_schema, forced_split, monkeypatch):
+    # the readers after a range with an error are not waited for
+    parent, read_range = os.getpid(), data._read_range
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return read_range(*args)
+
+    monkeypatch.setattr(data, "_read_range", dying)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(_HEADER + b"female,0\n" + b"".join(_ROWS * 40))
+    with pytest.raises(DataError, match="^row 2: too few fields$"):
+        load_dataset(path, toy_schema)
+    assert len(forced_split) == 3
 
 
 def test_load_peak_memory_per_kept_cell(tmp_path):

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import recording_forks
 from oracles import argsort_cart_forest
 
 from fairdep import DataError, ForestConfig, RandomForest
-from fairdep.cli import _fold_map
 from fairdep.dependence import DependenceConfig
 from fairdep.detector import audit_dataset
 from fairdep.forest import DRAW_BLOCK, _best_split, _Columns, _draws
 from fairdep.kernels import LINEAR, KernelSpec
 from fairdep.synth import default_validation_spec, generate
 from fairdep.validation import cross_validate
+from fairdep.workers import FORKS, usable_cpus
 
 
 def planted_problem(n, seed, flip=0.0):
@@ -66,32 +67,27 @@ def test_different_seeds_differ_somewhere():
     assert (a != b).any()
 
 
-@pytest.fixture(scope="module")
-def fold_worker_map():
-    """The fold map `fairdep validate` uses: one worker per usable CPU, forked on Linux."""
-    with _fold_map(10) as fold_map:
-        yield fold_map
-
-
-def test_noise_features_give_chance_level_accuracy(fold_worker_map):
-    # empirical calibration: pooled 10-fold accuracy on pure noise
+def test_noise_features_give_chance_level_accuracy():
+    # empirical calibration: pooled 10-fold accuracy on pure noise, with
+    # the folds on min(10, usable CPUs) forked workers where the package forks
     accs = []
-    for seed in range(10):
-        rng = np.random.default_rng(100 + seed)
-        X = rng.standard_normal((500, 5))
-        y = np.where(rng.random(500) < 0.5, 1, -1)
-        forest = ForestConfig(n_trees=30, seed=seed)
-        cv = cross_validate(X, y, folds=10, forest=forest, seed=seed, fold_map=fold_worker_map)
-        accs.append(np.mean(cv.predictions == y))
+    with recording_forks() as forked:
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            X = rng.standard_normal((500, 5))
+            y = np.where(rng.random(500) < 0.5, 1, -1)
+            forest = ForestConfig(n_trees=30, seed=seed)
+            cv = cross_validate(X, y, folds=10, forest=forest, seed=seed)
+            accs.append(np.mean(cv.predictions == y))
+    workers = min(10, usable_cpus()) if FORKS else 1
+    assert len(forked) == (10 * workers if workers > 1 else 0)
     assert all(0.4 <= a <= 0.6 for a in accs)
 
 
 @pytest.mark.parametrize("module", ["fairdep.forest", "fairdep.__main__"])
 def test_worker_imports_load_no_scipy(module):
-    # a spawned validation worker (every platform but Linux) imports
-    # fairdep.forest to unpickle fit_predict, and the `fairdep` script's
-    # spawned workers import fairdep.__main__ again; neither loads scipy
-    # or the data layer
+    # importing the forest (what a library caller needs for the folds) or
+    # the `fairdep` script's main module costs no scipy and no data layer
     code = (
         f"import sys, {module}; "
         "sys.exit(' '.join(m for m in sys.modules "
