@@ -5,17 +5,17 @@ included) into its JSON output, so reruns are bit-reproducible. Exit
 codes separate failure families: 2 for configuration problems
 (SchemaError), 3 for data problems (DataError), 4 for numerical
 failures (NumericsError), 5 for a worker process that ended without a
-result (one of validate's fold workers, or a reader of part of a large
-CSV; both are forked children, see `fairdep.workers`). An exception
-raised in a worker counts as if raised in this process. Any other
-exception is a bug and ends with a traceback (exit 1).
+result (WorkerError: one of validate's fold workers, or a reader of
+part of a large CSV; both are forked children, see `fairdep.workers`).
+An exception raised in a worker counts as if raised in this process.
+Any other exception is a bug and ends with a traceback (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .data import Schema, encode, load_dataset, write_dataset_csv, write_encoded_csv, write_json
 from .dependence import DependenceConfig
 from .detector import DEFAULT_SEED, DEFAULT_SUBSAMPLE, audit_dataset
-from .errors import DataError, NumericsError, SchemaError
+from .errors import DataError, NumericsError, SchemaError, WorkerError
 from .forest import ForestConfig
 from .kernels import KERNEL_KINDS, KernelSpec
 from .synth import PlantedFeature, SynthSpec, generate
@@ -136,8 +136,6 @@ def _outdir(args) -> Path:
 
 
 def _run_audit_pipeline(args):
-    from dataclasses import replace as dc_replace
-
     config = DependenceConfig(KernelSpec(args.kernel), args.epsilon)
     encoded, report = audit_dataset(
         _load(args),
@@ -155,7 +153,7 @@ def _run_audit_pipeline(args):
             "command": args.command,
         }
     )
-    return encoded, dc_replace(report, config=echo)
+    return encoded, replace(report, config=echo)
 
 
 def cmd_audit(args) -> int:
@@ -232,24 +230,23 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each failure family: its exit code, and the word its message names it by
+    failures = {
+        SchemaError: (EXIT_CONFIG, "config"),
+        DataError: (EXIT_DATA, "data"),
+        NumericsError: (EXIT_NUMERIC, "numerics"),
+        WorkerError: (EXIT_WORKER, "workers"),
+    }
     try:
         if getattr(args, "seed", 0) < 0:  # encode takes no seed
             raise SchemaError(f"--seed must be nonnegative, got {args.seed}")
         if getattr(args, "folds", 2) < 2:  # only validate takes folds
             raise SchemaError(f"need at least 2 folds, got {args.folds}")
         return COMMANDS[args.command](args)
-    except SchemaError as exc:
-        print(f"error (config): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error (data): {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericsError as exc:
-        print(f"error (numerics): {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except BrokenExecutor as exc:  # a fold worker or a CSV range reader ended without a result
-        print(f"error (workers): {exc}", file=sys.stderr)
-        return EXIT_WORKER
+    except tuple(failures) as exc:
+        code, family = next(v for kind, v in failures.items() if isinstance(exc, kind))
+        print(f"error ({family}): {exc}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError, signs
 from .kernels import scaled_down
-from .workers import FORKS, forked, usable_cpus
+from .workers import forked, usable_cpus
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -406,17 +406,16 @@ def _open_csv(csv_source):
 def _byte_ranges(fd: int) -> list[tuple[int, int | None]]:
     """The byte ranges a CSV file splits into, or [] when it is read in one.
 
-    Where the package forks, a regular file with no `"` splits into
-    min(usable CPUs, size // SPLIT_BYTES) ranges when that is two or more:
-    the bytes after the first line are cut into about equal shares, each
-    but the last ending just after a newline, and the first range starts
-    with the first line. With no quote character, every newline ends a
-    record, so each range holds whole records. The last range runs to the
-    end of the file, so a file that grows is read as far as one range
-    would read it. A pipe or other stream never splits.
+    A regular file with no `"` splits into min(`usable_cpus()`,
+    size // SPLIT_BYTES) ranges when that is two or more, so only where
+    the package forks: the bytes after the first line are cut into about
+    equal shares, each but the last ending just after a newline, and the
+    first range starts with the first line. With no quote character,
+    every newline ends a record, so each range holds whole records. The
+    last range runs to the end of the file, so a file that grows is read
+    as far as one range would read it. A pipe or other stream never
+    splits.
     """
-    if not FORKS:
-        return []
     info = os.fstat(fd)
     size = info.st_size
     parts = min(usable_cpus(), size // SPLIT_BYTES) if stat.S_ISREG(info.st_mode) else 1
@@ -452,11 +451,12 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     runs `_read_range` and pickles what it read down a pipe. Each range's
     records go through `_scan`, and the scans are merged in file order
     (`_Scan.extend`). A file object, a small or quoted file, a pipe or
-    other stream, and every platform but Linux take one range, read
-    through one plain `open`. So on Linux this function may `os.fork`; the
-    fork is safe in the commands (see `fairdep.workers`), but a caller
-    whose process runs other threads that may hold locks can raise
-    `SPLIT_BYTES` above its files' sizes to keep one range.
+    other stream, and every platform but Linux (where `usable_cpus` is
+    1) take one range, read through one plain `open`. So on Linux this
+    function may `os.fork`; the fork is safe in the commands (see
+    `fairdep.workers`), but a caller whose process runs other threads
+    that may hold locks can raise `SPLIT_BYTES` above its files' sizes to
+    keep one range.
 
     `_scan` reads records in blocks of `BLOCK_ROWS` and transposes each
     by one `zip`. A block of a numeric or binned column is float64, by
@@ -486,7 +486,7 @@ def load_dataset(csv_source, schema: Schema) -> Dataset:
     the errors of step 2 and the undecodable bytes, the one in the
     earliest byte range counts. A fault of the program in a reader is
     raised here with its own type, as one range would raise it; a reader
-    that ends without a result raises `concurrent.futures.BrokenExecutor`.
+    that ends without a result raises `WorkerError`.
     Every reader is reaped before this returns or raises.
     """
     needed = list(schema.names) + [schema.label]

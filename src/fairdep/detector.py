@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # else the first np.random call imports it, inside a command
 
 from .data import (
     BINARY,

@@ -1,18 +1,18 @@
 """Exception hierarchy shared across the package, and the label check.
 
 The split mirrors how failures surface to a caller: schema/configuration
-problems, bad data content, and numerical breakdowns each get their own
-class, and the CLI maps exactly these three to its exit codes (2, 3 and
-4). Any other exception is a bug in the package and ends the command
-with a traceback rather than passing for a configuration error.
+problems, bad data content, numerical breakdowns and a worker process
+that ended without a result each get their own class, and the CLI maps
+exactly these four to its exit codes (2, 3, 4 and 5). Any other
+exception is a bug in the package and ends the command with a traceback
+rather than passing for a configuration error.
 
 `signs` is the one check of the {-1, +1} coding of labels and
 predictions. It lives here, beside `DataError`, so that `fairdep.forest`
-can use it without loading `fairdep.data`.
+can use it without depending on `fairdep.data`.
 """
 
 import numpy as np
-import numpy.ma  # else np.unique (numpy 2.4) imports it at its first call, inside a command
 
 
 class FairdepError(Exception):
@@ -43,6 +43,14 @@ class DataError(FairdepError, ValueError):
 
 class NumericsError(FairdepError):
     """A numerical routine failed (non-SPD solve, non-finite input)."""
+
+
+class WorkerError(FairdepError):
+    """A forked worker ended without a result (see `fairdep.workers.forked`).
+
+    It was killed, or its exception would not pickle. An exception that
+    a worker raises and sends back is raised with its own type instead.
+    """
 
 
 def signs(values, name: str = "labels") -> np.ndarray:

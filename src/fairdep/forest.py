@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import numpy.random  # else the first np.random call imports it, inside a command
 
 from .errors import DataError, SchemaError, signs
 

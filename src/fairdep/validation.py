@@ -12,10 +12,10 @@ kernels and reports how much the rankings and detected sets move.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.random  # else the first np.random call imports it, inside a command
 
 from .data import EncodedDataset, write_json
 from .dependence import DependenceConfig
@@ -30,7 +30,7 @@ from .fairness import (
 )
 from .forest import ForestConfig, fit_predict
 from .kernels import LINEAR, RBF, KernelSpec
-from .workers import FORKS, forked, usable_cpus
+from .workers import forked, usable_cpus
 
 
 def stratified_folds(y, folds: int, seed: int = 0) -> list[np.ndarray]:
@@ -105,7 +105,7 @@ def cross_validate(
         config = replace(forest, seed=_fold_seed(forest.seed, k))
         return fit_predict(X[train_idx], y[train_idx], X[test_sets[k]], config)
 
-    workers = min(folds, usable_cpus()) if FORKS else 1
+    workers = min(folds, usable_cpus())
     if workers <= 1:
         predicted = map(fold, range(folds))
     else:
@@ -168,8 +168,6 @@ class ValidationReport:
 
 def write_scatter_csv(report: ValidationReport, kernel: str, path) -> None:
     """Plot-ready rows: one per subfeature, mean disparities plus CV accuracy."""
-    import csv
-
     acc = f"{float(np.mean(report.fold_accuracy)):.6g}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

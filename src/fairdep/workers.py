@@ -1,9 +1,10 @@
-"""Running work in forked child processes, and how many CPUs it may use.
+"""Running work in forked child processes, and how many of them may run.
 
-This is the one place the package starts another process. The CSV
-loader's byte-range readers (`data`) and validate's fold workers
-(`validation.cross_validate`) both run through `forked`, and both read
-`FORKS` and `usable_cpus`, so the two never disagree on either.
+This is the one place the package starts another process, and the one
+place that decides whether it may. The CSV loader's byte-range readers
+(`data`) and validate's fold workers (`validation.cross_validate`) both
+run through `forked` and size their work by `usable_cpus`, so the two
+never disagree on either.
 
 A child is an `os.fork` of the caller: it starts at once with every
 module and array of its parent, runs one call, pickles the result (or
@@ -26,7 +27,8 @@ process runs other threads that may hold locks at the fork should keep
 to one CPU (see `load_dataset` and `cross_validate`).
 
 Only Linux forks (`FORKS`): macOS system frameworks are not fork-safe
-and Windows has no fork, so there the same work runs in this process.
+and Windows has no fork, so there `usable_cpus` is 1 and the same work
+runs in this process.
 """
 
 import os
@@ -34,19 +36,20 @@ import pickle
 import signal
 import sys
 import traceback
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
+
+from .errors import WorkerError
 
 # macOS system frameworks are not fork-safe and Windows has no fork
 FORKS = sys.platform.startswith("linux")
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+    """How many processes the package may run at once.
+
+    Where it forks, the CPUs of this process's affinity set; else 1.
+    """
+    return len(os.sched_getaffinity(0)) if FORKS else 1
 
 
 class _ChildTraceback(Exception):
@@ -66,7 +69,7 @@ def forked(function, calls):
     with its own type, the child's traceback as its `__cause__`. A child
     that ends without a result (killed, or its exception would not
     pickle, whose traceback it writes to standard error) raises
-    `BrokenExecutor` naming it. On leaving the block, by an exception (a
+    `WorkerError` naming it. On leaving the block, by an exception (a
     KeyboardInterrupt included) or before every result was read, each
     child not yet reaped is killed and reaped.
     """
@@ -121,7 +124,7 @@ def _result(children: dict, pid: int):
     status = os.waitpid(pid, 0)[1]
     children.pop(pid)[1].close()
     if message is None or status != 0:
-        raise BrokenExecutor(f"{name} ended without a result (wait status {status})")
+        raise WorkerError(f"{name} ended without a result (wait status {status})")
     result, error = message
     if error is not None:
         exc, text = error

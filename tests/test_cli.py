@@ -191,22 +191,22 @@ def test_tiny_epsilon_error_names_epsilon(tmp_path, synth_files, capsys):
 
 def test_audit_imports_no_numpy_or_scipy_module(synth_files, tmp_path):
     # what `import fairdep.cli` leaves for a command to load would count
-    # into the command's own time
+    # into the command's own time: read in one range or in two, the
+    # command imports no module of any kind but the text codec that
+    # opening the CSV imports on either path
     data, schema_path = synth_files
     argv = ["audit", "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
     code = (
         "import sys, fairdep.cli; before = set(sys.modules); "
         f"code = fairdep.cli.main({argv!r}); "
-        "print(code, *sorted(m for m in set(sys.modules) - before if m.startswith(('numpy.', 'scipy'))))"
+        "print(code, *sorted(set(sys.modules) - before - {'encodings.utf_8_sig'}))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1:] == [str(EXIT_OK)], done.stdout
     if not FORKS:
         return
-    # read in two byte ranges, the command imports no module of any kind
-    # but the text codec that opening the CSV imports on either path, and
-    # reaps its one reader
+    # in two byte ranges, the command also reaps its one reader
     code = f"""
 import os, sys, fairdep.cli, fairdep.data
 fairdep.data.SPLIT_BYTES = 1
@@ -625,7 +625,7 @@ def _in_process_outputs(argv):
     out = Path(args.out)
     out.mkdir()
     encoded, report = _run_audit_pipeline(args)
-    with mock.patch.object(validation_module, "FORKS", False):
+    with mock.patch.object(workers_module, "FORKS", False):
         vreport = validate(
             encoded,
             report,
@@ -665,19 +665,16 @@ def test_validate_forks_one_worker_per_fold_when_cpus_outnumber_folds(tmp_path, 
     assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
 
 
-@pytest.mark.parametrize("cpu_source", ["affinity", "cpu_count", "no-fork"])
+@pytest.mark.parametrize("cpu_source", ["affinity", "no-fork"])
 def test_validate_on_one_cpu_starts_no_process(tmp_path, synth_files, monkeypatch, cpu_source):
     def no_fork():
         raise AssertionError("a fold worker was forked")
 
     if cpu_source == "affinity":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    elif cpu_source == "cpu_count":  # a platform without CPU affinity
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
     else:  # two CPUs on a platform that does not fork
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(validation_module, "FORKS", False)
+        monkeypatch.setattr(workers_module, "FORKS", False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert main(_validate_argv(synth_files, tmp_path / "cli")) == EXIT_OK
     assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
@@ -685,10 +682,11 @@ def test_validate_on_one_cpu_starts_no_process(tmp_path, synth_files, monkeypatc
 
 @pytest.mark.parametrize("module", ["fairdep", "fairdep.cli"])
 def test_validate_as_main_module_in_a_subprocess(tmp_path, synth_files, module):
-    # the command forks its workers from a main module, which no worker imports again
+    # the command forks its workers from a main module, which no worker imports again;
+    # under -W error, runpy's warning about a main module the package imported fails it
     argv = _validate_argv(synth_files, tmp_path / "cli")
     done = subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", "-m", module, *argv], capture_output=True, text=True, timeout=300
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert _outputs(tmp_path / "cli") == _in_process_outputs(_validate_argv(synth_files, tmp_path / "ref"))
@@ -784,7 +782,7 @@ def test_dead_csv_reader_is_reported_with_the_worker_exit_code(tmp_path, synth_f
     argv = [command, "--data", str(data), "--schema", str(schema_path), "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_WORKER
     err = capsys.readouterr().err
-    # the one line load_dataset's BrokenExecutor gives, naming where the range starts
+    # the one line load_dataset's WorkerError gives, naming where the range starts
     want = r"error \(workers\): the reader of the CSV from byte \d+ ended without a result \(wait status 256\)\n"
     assert re.fullmatch(want, err), err
     assert len(forced_split) == 3

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdep import Column, DataError, Dataset, Schema, SchemaError, encode, load_dataset
-from fairdep import data
+from fairdep import Column, DataError, Dataset, Schema, SchemaError, WorkerError, encode, load_dataset
+from fairdep import data, workers
 from fairdep.data import (
     dataset_from_arrays,
     standardize_numeric,
@@ -647,7 +648,7 @@ def test_one_range_reads_no_file_by_position(tmp_path, toy_schema, monkeypatch):
     path = tmp_path / "rows.csv"
     path.write_bytes(_HEADER + b"".join(_ROWS * 40))
     want = load_dataset(io.StringIO(path.read_text()), toy_schema)
-    monkeypatch.setattr(data, "FORKS", False)
+    monkeypatch.setattr(workers, "FORKS", False)
     monkeypatch.setattr(data, "SPLIT_BYTES", 1)
     monkeypatch.delattr(os, "preadv", raising=False)
     monkeypatch.delattr(os, "pread", raising=False)
@@ -722,6 +723,24 @@ def test_error_in_the_first_range_outranks_a_dead_reader(tmp_path, toy_schema, f
     path = tmp_path / "rows.csv"
     path.write_bytes(_HEADER + b"female,0\n" + b"".join(_ROWS * 40))
     with pytest.raises(DataError, match="^row 2: too few fields$"):
+        load_dataset(path, toy_schema)
+    assert len(forced_split) == 3
+
+
+@needs_fork
+def test_killed_reader_raises_worker_error(tmp_path, toy_schema, forced_split, monkeypatch):
+    parent, read_range = os.getpid(), data._read_range
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_range(*args)
+
+    monkeypatch.setattr(data, "_read_range", killed)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(_HEADER + b"".join(_ROWS * 40))
+    want = r"^the reader of the CSV from byte \d+ ended without a result \(wait status 9\)$"
+    with pytest.raises(WorkerError, match=want):
         load_dataset(path, toy_schema)
     assert len(forced_split) == 3
 

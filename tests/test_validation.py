@@ -297,21 +297,36 @@ def test_kernel_consistency_reports_argmax_flips(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # nor the scipy.linalg package: dependence loads only its LAPACK module
-    code = "import sys, fairdep.cli; print(*(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
+    # nor the scipy.linalg package: dependence loads only its LAPACK module;
+    # nor concurrent.futures and the logging it imports: no command starts an executor
+    modules = ("scipy.stats", "scipy.linalg", "concurrent.futures", "logging")
+    code = f"import sys, fairdep.cli; print(*(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], f"import fairdep.cli loaded {done.stdout}"
 
 
-def test_lazy_package_exports_resolve():
+# the package's public names, by the module that defines each
+PACKAGE_EXPORTS = {
+    "data": "Column Dataset EncodedDataset Schema Subfeature encode load_dataset standardize_numeric",
+    "dependence": "DependenceConfig hsic nocco regularized_operator",
+    "detector": "DependenceReport FeatureScore audit_dataset detect score_features subsample",
+    "errors": "DataError FairdepError NumericsError SchemaError WorkerError",
+    "fairness": "FairnessMeasures GroupConfusion fairness_measures group_confusion",
+    "forest": "ForestConfig RandomForest",
+    "kernels": "LINEAR RBF KernelSpec center gram",
+    "synth": "PlantedFeature SynthSpec generate",
+    "validation": "KernelConsistency ValidationReport cross_validate kernel_consistency validate",
+}
+
+
+def test_package_exports_resolve():
     import fairdep
 
-    for name in fairdep.__all__:
-        getattr(fairdep, name)  # AttributeError if the table names a missing object
-    assert fairdep.validate is fairdep.validation.validate
-    with pytest.raises(AttributeError):
-        getattr(fairdep, "no_such_name")
+    exported = {name: module for module, names in PACKAGE_EXPORTS.items() for name in names.split()}
+    assert fairdep.__all__ == sorted(exported)
+    for name, module in exported.items():
+        assert getattr(fairdep, name) is getattr(getattr(fairdep, module), name), name
 
 
 @pytest.mark.parametrize("ties", [False, True])
